@@ -2,9 +2,13 @@
 # the roadmap expect before a change lands.
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-net smoke fuzz-smoke
+.PHONY: check fmt vet lint build test race bench bench-net smoke fuzz-smoke
 
-check: vet lint build race fuzz-smoke smoke
+check: fmt vet lint build race fuzz-smoke smoke
+
+# fmt fails when any Go file in the tree is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

@@ -148,6 +148,13 @@ type FlowNetwork struct {
 	weight [topology.NumRacks]float64
 	total  float64
 	rng    *rand.Rand
+
+	// plant memoizes PlantFlow at the instant plantNano: every rack of a
+	// tick asks for the same instant, so the calendar arithmetic runs
+	// once per tick.
+	plant     units.GPM
+	plantNano int64
+	plantSet  bool
 }
 
 // NewFlowNetwork builds the distribution network. The seed shapes the
@@ -166,8 +173,11 @@ func NewFlowNetwork(seed int64) *FlowNetwork {
 // RackFlow returns the flow delivered to one rack at time t, including
 // small turbulent measurement-scale fluctuation.
 func (n *FlowNetwork) RackFlow(r topology.RackID, t time.Time) units.GPM {
+	if nano := t.UnixNano(); !n.plantSet || nano != n.plantNano {
+		n.plant, n.plantNano, n.plantSet = PlantFlow(t), nano, true
+	}
 	share := n.weight[r.Index()] / n.total
-	flow := float64(PlantFlow(t)) * share
+	flow := float64(n.plant) * share
 	flow *= 1 + 0.004*n.rng.NormFloat64()
 	return units.GPM(flow)
 }

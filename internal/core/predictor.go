@@ -16,6 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mira/internal/bayesopt"
@@ -238,38 +241,77 @@ func (p *Predictor) Evaluate(ds Dataset) stats.Confusion {
 	return c
 }
 
+// ErrTooFewExamples is returned by CrossValidate for a dataset with fewer
+// than two examples, which no split can both train and test on.
+var ErrTooFewExamples = errors.New("core: too few examples to cross-validate")
+
 // CrossValidate runs k-fold cross-validation (paper: 5-fold, "for
 // robustness against sample selection") and returns the pooled confusion
-// matrix.
+// matrix. A dataset with fewer than k examples (but at least two) falls
+// back to leave-one-out.
+//
+// The folds train concurrently on at most runtime.GOMAXPROCS(0)
+// goroutines. Each fold keeps its own seed and the pooled confusion is
+// summed in fold order, so the result does not depend on the core count.
 func CrossValidate(ds Dataset, cfg Config, k int) (stats.Confusion, error) {
 	cfg = cfg.withDefaults()
 	if k <= 1 {
 		k = 5
 	}
+	n := ds.Len()
+	if n < 2 {
+		return stats.Confusion{}, fmt.Errorf("%w: got %d", ErrTooFewExamples, n)
+	}
+	k = min(k, n)
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	folds := stats.KFold(ds.Len(), k, rng)
-	var pooled stats.Confusion
-	for fi, test := range folds {
-		var train Dataset
-		inTest := make(map[int]bool, len(test))
-		for _, i := range test {
-			inTest[i] = true
-		}
-		for i := range ds.X {
-			if !inTest[i] {
-				train.X = append(train.X, ds.X[i])
-				train.Y = append(train.Y, ds.Y[i])
+	folds := stats.KFold(n, k, rng)
+	confs := make([]stats.Confusion, len(folds))
+	errs := make([]error, len(folds))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(folds)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for fi := int(next.Add(1) - 1); fi < len(folds); fi = int(next.Add(1) - 1) {
+				confs[fi], errs[fi] = evaluateFold(ds, cfg, fi, folds[fi])
 			}
+		}()
+	}
+	wg.Wait()
+	var pooled stats.Confusion
+	for fi := range folds {
+		if errs[fi] != nil {
+			return stats.Confusion{}, fmt.Errorf("core: fold %d: %w", fi, errs[fi])
 		}
-		p, err := Train(train, Config{Hidden: cfg.Hidden, Epochs: cfg.Epochs, Threshold: cfg.Threshold, Seed: cfg.Seed + int64(fi)*101})
-		if err != nil {
-			return stats.Confusion{}, fmt.Errorf("core: fold %d: %w", fi, err)
-		}
-		for _, i := range test {
-			pooled.Observe(p.Predict(ds.X[i]), ds.Y[i] == 1)
-		}
+		pooled.Add(confs[fi])
 	}
 	return pooled, nil
+}
+
+// evaluateFold trains on every example outside test, seeded by the fold
+// index, and scores the held-out examples.
+func evaluateFold(ds Dataset, cfg Config, fi int, test []int) (stats.Confusion, error) {
+	inTest := make([]bool, ds.Len())
+	for _, i := range test {
+		inTest[i] = true
+	}
+	train := Dataset{X: make([][]float64, 0, ds.Len()-len(test)), Y: make([]float64, 0, ds.Len()-len(test))}
+	for i := range ds.X {
+		if !inTest[i] {
+			train.X = append(train.X, ds.X[i])
+			train.Y = append(train.Y, ds.Y[i])
+		}
+	}
+	p, err := Train(train, Config{Hidden: cfg.Hidden, Epochs: cfg.Epochs, Threshold: cfg.Threshold, Seed: cfg.Seed + int64(fi)*101})
+	if err != nil {
+		return stats.Confusion{}, err
+	}
+	var c stats.Confusion
+	for _, i := range test {
+		c.Observe(p.Predict(ds.X[i]), ds.Y[i] == 1)
+	}
+	return c, nil
 }
 
 // LeadPoint is one Fig. 13 x-axis position.

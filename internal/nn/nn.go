@@ -86,9 +86,12 @@ type layer struct {
 	w       []float64 // out × in, row-major
 	b       []float64 // out
 
-	// Forward-pass cache for backprop.
-	lastIn  []float64
-	lastOut []float64
+	// Training scratch, reused for every example: the activations of the
+	// last training forward pass (backward reads them) and backward's
+	// dL/din. Inference never touches them, so Forward stays safe to call
+	// from many goroutines.
+	acts []float64 // out
+	dIn  []float64 // in
 
 	// Gradient accumulators.
 	gw []float64
@@ -102,14 +105,16 @@ type layer struct {
 func newLayer(in, out int, act Activation, rng *rand.Rand) *layer {
 	l := &layer{
 		in: in, out: out, act: act,
-		w:  make([]float64, in*out),
-		b:  make([]float64, out),
-		gw: make([]float64, in*out),
-		gb: make([]float64, out),
-		mw: make([]float64, in*out),
-		vw: make([]float64, in*out),
-		mb: make([]float64, out),
-		vb: make([]float64, out),
+		w:    make([]float64, in*out),
+		b:    make([]float64, out),
+		acts: make([]float64, out),
+		dIn:  make([]float64, in),
+		gw:   make([]float64, in*out),
+		gb:   make([]float64, out),
+		mw:   make([]float64, in*out),
+		vw:   make([]float64, in*out),
+		mb:   make([]float64, out),
+		vb:   make([]float64, out),
 	}
 	// He initialization, appropriate for ReLU layers.
 	scale := math.Sqrt(2.0 / float64(in))
@@ -119,10 +124,10 @@ func newLayer(in, out int, act Activation, rng *rand.Rand) *layer {
 	return l
 }
 
-func (l *layer) forward(x []float64) []float64 {
-	l.lastIn = x
-	out := make([]float64, l.out)
-	for o := 0; o < l.out; o++ {
+// forward computes act(W·x + b) into out, which must have length l.out,
+// and returns it.
+func (l *layer) forward(x, out []float64) []float64 {
+	for o := range out {
 		s := l.b[o]
 		row := l.w[o*l.in : (o+1)*l.in]
 		for i, v := range x {
@@ -130,20 +135,24 @@ func (l *layer) forward(x []float64) []float64 {
 		}
 		out[o] = l.act.apply(s)
 	}
-	l.lastOut = out
 	return out
 }
 
-// backward consumes dL/dout and returns dL/din, accumulating weight grads.
-func (l *layer) backward(dOut []float64) []float64 {
-	dIn := make([]float64, l.in)
+// backward consumes dL/dout for the layer's last training forward pass
+// (input in, output l.acts), accumulates weight grads and returns dL/din in
+// the layer's scratch.
+func (l *layer) backward(in, dOut []float64) []float64 {
+	dIn := l.dIn
+	for i := range dIn {
+		dIn[i] = 0
+	}
 	for o := 0; o < l.out; o++ {
-		dz := dOut[o] * l.act.derivFromOutput(l.lastOut[o])
+		dz := dOut[o] * l.act.derivFromOutput(l.acts[o])
 		l.gb[o] += dz
 		row := l.w[o*l.in : (o+1)*l.in]
 		grow := l.gw[o*l.in : (o+1)*l.in]
 		for i := range row {
-			grow[i] += dz * l.lastIn[i]
+			grow[i] += dz * in[i]
 			dIn[i] += dz * row[i]
 		}
 	}
@@ -164,6 +173,9 @@ func (l *layer) zeroGrad() {
 type Network struct {
 	layers []*layer
 	inDim  int
+	// dOut is backprop's dL/dout scratch for the output layer; only
+	// dOut[0] is ever written, the rest stay zero.
+	dOut []float64
 }
 
 // Config describes a network architecture.
@@ -209,6 +221,7 @@ func New(cfg Config) (*Network, error) {
 		prev = h
 	}
 	n.layers = append(n.layers, newLayer(prev, cfg.Outputs, cfg.OutputAct, rng))
+	n.dOut = make([]float64, cfg.Outputs)
 	return n, nil
 }
 
@@ -226,12 +239,14 @@ func (n *Network) NumParams() int {
 
 // Forward runs inference on one feature vector. It panics if the input
 // length does not match the network's input dimension (programmer error).
+// It allocates its activations and writes no network state, so concurrent
+// calls are safe (training is not).
 func (n *Network) Forward(x []float64) []float64 {
 	if len(x) != n.inDim {
 		panic(fmt.Sprintf("nn: input dim %d, want %d", len(x), n.inDim))
 	}
 	for _, l := range n.layers {
-		x = l.forward(x)
+		x = l.forward(x, make([]float64, l.out))
 	}
 	return x
 }
@@ -248,22 +263,32 @@ func (n *Network) PredictClass(x []float64, threshold float64) bool {
 // (x, y) example and returns the example loss. Assumes the output layer is a
 // single sigmoid unit, so dL/dz simplifies to (p − y); we feed backward
 // dL/dout = (p−y)/σ'(z) to reuse the generic layer backward.
+//
+// The pass runs in the layers' training scratch and allocates nothing; x
+// must have the network's input dimension (Fit checks).
 func (n *Network) backprop(x []float64, y float64) float64 {
-	p := n.Forward(x)[0]
+	in := x
+	for _, l := range n.layers {
+		in = l.forward(in, l.acts)
+	}
+	p := in[0]
 	// Clip for numerical stability of the loss (gradient uses raw p).
 	pc := math.Min(math.Max(p, 1e-12), 1-1e-12)
 	loss := -(y*math.Log(pc) + (1-y)*math.Log(1-pc))
 
 	out := n.layers[len(n.layers)-1]
-	dOut := make([]float64, out.out)
-	d := out.act.derivFromOutput(out.lastOut[0])
+	d := out.act.derivFromOutput(p)
 	if d < 1e-12 {
 		d = 1e-12
 	}
-	dOut[0] = (p - y) / d
-	grad := dOut
+	n.dOut[0] = (p - y) / d
+	grad := n.dOut
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad = n.layers[i].backward(grad)
+		in := x
+		if i > 0 {
+			in = n.layers[i-1].acts
+		}
+		grad = n.layers[i].backward(in, grad)
 	}
 	return loss
 }

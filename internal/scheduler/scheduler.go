@@ -12,6 +12,7 @@ package scheduler
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -102,16 +103,28 @@ type Scheduler struct {
 	inMaintenance  bool
 	maintenanceEnd time.Time
 
-	// perm is the tick's placement visit order: a popularity-weighted
-	// shuffle, so user demand concentrates on some racks without any
-	// index-order artifact.
-	perm []int
+	// order holds the tick's placement visit order in order.idx: a
+	// popularity-weighted shuffle, so user demand concentrates on some
+	// racks without any index-order artifact.
+	order keyedOrder
 	// avoidUntil implements CMF-aware scheduling: placement treats a
 	// flagged rack's midplanes as a last resort until the deadline passes.
 	avoidUntil [topology.NumMidplanes]time.Time
-	// popularity is the per-midplane placement weight (users habitually
-	// target certain racks, creating the paper's utilization spread).
-	popularity [topology.NumMidplanes]float64
+	// exponent is 1/w for each midplane's placement weight w (users
+	// habitually target certain racks, creating the paper's utilization
+	// spread), the power weightedOrder raises its uniform draws to.
+	exponent [topology.NumMidplanes]float64
+
+	// Per-tick scratch, reused so a tick allocates nothing: the head
+	// job's shadow (frees, banned), candidateSlots' preference buckets
+	// and result, tryPlace's open/flagged split, and complete's set of
+	// finished jobs.
+	frees            freeOrder
+	banned           [topology.NumMidplanes]bool
+	buckets          [3][topology.NumMidplanes]int
+	cands            [topology.NumMidplanes]int
+	openBuf, flagBuf [topology.NumMidplanes]int
+	done             []int64
 
 	// Counters.
 	started   int64
@@ -164,13 +177,13 @@ func New(cfg Config) *Scheduler {
 			w = 2.2
 		}
 		for m := 0; m < topology.MidplanesPerRack; m++ {
-			s.popularity[rack*topology.MidplanesPerRack+m] = w
+			s.exponent[rack*topology.MidplanesPerRack+m] = 1 / w
 		}
 	}
 	// Rack (0,A) was the single most-targeted rack on Mira (paper Fig. 6b).
 	base := topology.BusyRack.Index() * topology.MidplanesPerRack
-	s.popularity[base] = 3.4
-	s.popularity[base+1] = 3.4
+	s.exponent[base] = 1 / 3.4
+	s.exponent[base+1] = 1 / 3.4
 	return s
 }
 
@@ -201,7 +214,7 @@ func (s *Scheduler) Stats() Stats {
 // Step advances the scheduler to time now: completes finished jobs, handles
 // maintenance transitions, starts reservations, and dispatches queued jobs.
 func (s *Scheduler) Step(now time.Time) {
-	s.perm = s.weightedOrder()
+	s.weightedOrder()
 	s.complete(now)
 	s.handleMaintenance(now)
 	s.maybeReserve(now)
@@ -213,40 +226,57 @@ func (s *Scheduler) Step(now time.Time) {
 }
 
 // weightedOrder draws a popularity-weighted random permutation of the
-// midplanes (Efraimidis-Spirakis sampling: sort by u^(1/w) descending).
-func (s *Scheduler) weightedOrder() []int {
-	type keyed struct {
-		idx int
-		key float64
+// midplanes into s.order.idx (Efraimidis-Spirakis sampling: sort by u^(1/w)
+// descending).
+func (s *Scheduler) weightedOrder() {
+	o := &s.order
+	for i := range o.key {
+		o.idx[i] = i
+		o.key[i] = math.Pow(s.rng.Float64(), s.exponent[i])
 	}
-	ks := make([]keyed, topology.NumMidplanes)
-	for i := range ks {
-		ks[i] = keyed{idx: i, key: math.Pow(s.rng.Float64(), 1/s.popularity[i])}
-	}
-	sort.Slice(ks, func(a, b int) bool { return ks[a].key > ks[b].key })
-	out := make([]int, len(ks))
-	for i, k := range ks {
-		out[i] = k.idx
-	}
-	return out
+	sort.Sort(o)
+}
+
+// keyedOrder and freeOrder are sort.Interface views of scheduler-owned
+// arrays, so sorting them allocates nothing. sort.Sort runs the same
+// pdqsort, comparison for comparison, as sort.Slice over the equivalent
+// slice of structs, so ties (frequent among shadow free times) break
+// exactly as they always have (TestSortMatchesSortSlice).
+type keyedOrder struct {
+	idx [topology.NumMidplanes]int
+	key [topology.NumMidplanes]float64
+}
+
+func (o *keyedOrder) Len() int           { return topology.NumMidplanes }
+func (o *keyedOrder) Less(a, b int) bool { return o.key[a] > o.key[b] }
+func (o *keyedOrder) Swap(a, b int) {
+	o.idx[a], o.idx[b] = o.idx[b], o.idx[a]
+	o.key[a], o.key[b] = o.key[b], o.key[a]
+}
+
+type freeOrder struct {
+	idx  [topology.NumMidplanes]int
+	free [topology.NumMidplanes]time.Time
+}
+
+func (o *freeOrder) Len() int           { return topology.NumMidplanes }
+func (o *freeOrder) Less(a, b int) bool { return o.free[a].Before(o.free[b]) }
+func (o *freeOrder) Swap(a, b int) {
+	o.idx[a], o.idx[b] = o.idx[b], o.idx[a]
+	o.free[a], o.free[b] = o.free[b], o.free[a]
 }
 
 // complete frees slots whose jobs have finished.
 func (s *Scheduler) complete(now time.Time) {
-	var done map[int64]bool
+	s.done = s.done[:0]
 	for i := range s.slots {
 		sl := &s.slots[i]
 		if sl.busyUntil.IsZero() || sl.busyUntil.After(now) {
 			continue
 		}
-		if !sl.burner && sl.jobID != 0 {
-			if done == nil {
-				done = make(map[int64]bool)
-			}
-			if !done[sl.jobID] {
-				done[sl.jobID] = true
-				s.completed++
-			}
+		if !sl.burner && sl.jobID != 0 && !slices.Contains(s.done, sl.jobID) {
+			s.done = append(s.done, sl.jobID)
+			s.completed++
 		}
 		sl.busyUntil = time.Time{}
 		sl.jobID = 0
@@ -342,116 +372,90 @@ func (s *Scheduler) backfillProb(t time.Time) float64 {
 // dispatch places queued jobs with EASY backfilling: strict FIFO for the
 // head job (a capability job at the head drains the machine behind a shadow
 // reservation), and out-of-order starts for later jobs only when they finish
-// before the head's projected start, so the head cannot starve.
+// before the head's projected start, so the head cannot starve. The queue is
+// compacted in place: started jobs drop out, the rest keep their order.
 func (s *Scheduler) dispatch(now time.Time) {
-	for len(s.queue) > 0 {
-		if !s.tryPlace(&s.queue[0], now, nil) {
-			break
-		}
-		s.queue = s.queue[1:]
+	q := s.queue
+	head := 0
+	for head < len(q) && s.tryPlace(&q[head], now, nil) {
+		head++
 	}
-	if len(s.queue) <= 1 {
+	if len(q)-head <= 1 {
+		s.queue = q[:copy(q, q[head:])]
 		return
 	}
-	shadow, shadowSlots := s.shadow(&s.queue[0], now)
+	shadow, restricted := s.shadow(&q[head], now)
 	// Backfill pass over a bounded scan window.
 	p := s.backfillProb(now)
-	scan := s.queue[1:]
-	if len(scan) > 150 {
-		scan = scan[:150]
-	}
-	kept := make([]workload.Job, 0, len(s.queue))
-	kept = append(kept, s.queue[0])
-	for i := range scan {
-		j := &scan[i]
+	end := min(head+1+150, len(q))
+	q[0] = q[head]
+	kept := 1
+	for i := head + 1; i < end; i++ {
+		j := &q[i]
 		// EASY rule: a backfilled job must not delay the head. Jobs ending
 		// before the head's projected start may use any slot; longer jobs
 		// must avoid the slots the head is waiting on.
-		var banned map[int]bool
-		if !now.Add(j.Walltime).Before(shadow) {
-			banned = shadowSlots
+		var banned *[topology.NumMidplanes]bool
+		if restricted && !now.Add(j.Walltime).Before(shadow) {
+			banned = &s.banned
 		}
 		if s.rng.Float64() < p && s.tryPlace(j, now, banned) {
 			continue
 		}
 		// Keep scanning: later, smaller jobs may still fit this tick.
-		kept = append(kept, *j)
+		q[kept] = *j
+		kept++
 	}
-	s.queue = append(kept, s.queue[1+len(scan):]...)
+	kept += copy(q[kept:], q[end:])
+	s.queue = q[:kept]
 }
 
 // shadow estimates when the head job will be able to start — the moment its
-// Midplanes-th eligible slot becomes free, assuming no further arrivals —
-// and which slots it is waiting on (the earliest-free ones).
-func (s *Scheduler) shadow(j *workload.Job, now time.Time) (time.Time, map[int]bool) {
-	eligible := s.eligibleSlots(j)
-	if len(eligible) < j.Midplanes {
-		// The job can never run; let backfill proceed unrestricted.
-		return now.Add(365 * 24 * time.Hour), nil
+// Midplanes-th slot becomes free, assuming no further arrivals — and marks
+// the slots it is waiting on (the earliest-free ones) in s.banned. All
+// queues may ultimately use any midplane (prod-long merely prefers row 0),
+// so every slot counts; restricted is false only for a job larger than the
+// machine, which can never run and must not hold backfill up.
+func (s *Scheduler) shadow(j *workload.Job, now time.Time) (shadow time.Time, restricted bool) {
+	if j.Midplanes > topology.NumMidplanes {
+		return now.Add(365 * 24 * time.Hour), false
 	}
-	type freeSlot struct {
-		idx  int
-		free time.Time
-	}
-	frees := make([]freeSlot, 0, len(eligible))
-	for _, i := range eligible {
+	f := &s.frees
+	for i := range s.slots {
 		sl := &s.slots[i]
 		free := now
-		for _, t := range []time.Time{sl.busyUntil, sl.reservedUntil, sl.downUntil} {
+		for _, t := range [...]time.Time{sl.busyUntil, sl.reservedUntil, sl.downUntil} {
 			if t.After(free) {
 				free = t
 			}
 		}
-		frees = append(frees, freeSlot{idx: i, free: free})
+		f.idx[i], f.free[i] = i, free
 	}
-	sort.Slice(frees, func(a, b int) bool { return frees[a].free.Before(frees[b].free) })
-	slots := make(map[int]bool, j.Midplanes)
-	for _, f := range frees[:j.Midplanes] {
-		slots[f.idx] = true
+	sort.Sort(f)
+	s.banned = [topology.NumMidplanes]bool{}
+	for _, i := range f.idx[:j.Midplanes] {
+		s.banned[i] = true
 	}
-	return frees[j.Midplanes-1].free, slots
-}
-
-// eligibleSlots returns every slot index the job's placement policy allows,
-// regardless of current availability. All queues may ultimately use any
-// midplane (prod-long merely prefers row 0).
-func (s *Scheduler) eligibleSlots(j *workload.Job) []int {
-	out := make([]int, topology.NumMidplanes)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	return f.free[j.Midplanes-1], true
 }
 
 // tryPlace attempts to start the job now, honoring queue placement policy
-// and avoiding banned slots (the head job's shadow reservation). It returns
-// true when the job was started.
-func (s *Scheduler) tryPlace(j *workload.Job, now time.Time, banned map[int]bool) bool {
-	candidates := s.candidateSlots(j, now)
-	if len(banned) > 0 {
-		filtered := candidates[:0]
-		for _, i := range candidates {
-			if !banned[i] {
-				filtered = append(filtered, i)
-			}
-		}
-		candidates = filtered
-	}
-	// CMF-aware scheduling: demote flagged midplanes to a last resort.
-	clear := make([]int, 0, len(candidates))
-	var flagged []int
-	for _, i := range candidates {
-		if s.avoided(i, now) {
+// and avoiding banned slots (the head job's shadow reservation; nil bans
+// nothing). It returns true when the job was started.
+func (s *Scheduler) tryPlace(j *workload.Job, now time.Time, banned *[topology.NumMidplanes]bool) bool {
+	// CMF-aware scheduling: flagged midplanes come after every unflagged
+	// one, as a last resort.
+	open, flagged := s.openBuf[:0], s.flagBuf[:0]
+	for _, i := range s.candidateSlots(j, now) {
+		switch {
+		case banned != nil && banned[i]:
+		case s.avoided(i, now):
 			flagged = append(flagged, i)
-		} else {
-			clear = append(clear, i)
+		default:
+			open = append(open, i)
 		}
 	}
-	if len(clear) >= j.Midplanes {
-		candidates = clear
-	} else {
-		candidates = append(clear, flagged...)
-	}
+	candidates := append(open, flagged...)
 	if len(candidates) < j.Midplanes {
 		return false
 	}
@@ -481,61 +485,50 @@ func (s *Scheduler) QueueStatsFor(q workload.Queue) QueueStats {
 
 // candidateSlots returns available midplane indices ordered by the job's
 // placement preference. Within each preference group, the tick's shuffled
-// visit order applies, so no rack is systematically favored by index.
+// visit order applies, so no rack is systematically favored by index. The
+// result aliases scratch that the next call overwrites.
 func (s *Scheduler) candidateSlots(j *workload.Job, now time.Time) []int {
-	order := s.perm
-	if order == nil {
-		order = make([]int, topology.NumMidplanes)
-		for i := range order {
-			order[i] = i
-		}
-	}
-	var pref, rest []int
-	appendAvail := func(dst *[]int, idx int) {
+	var n [len(s.buckets)]int
+	for _, idx := range s.order.idx {
 		if s.slotAvailable(&s.slots[idx], now) {
-			*dst = append(*dst, idx)
+			g := preference(j, idx)
+			s.buckets[g][n[g]] = idx
+			n[g]++
 		}
 	}
-	row0End := topology.ColsPerRow * topology.MidplanesPerRack
+	out := s.cands[:0]
+	for g := range s.buckets {
+		out = append(out, s.buckets[g][:n[g]]...)
+	}
+	return out
+}
+
+// preference ranks midplane idx for the job; lower groups are tried first.
+func preference(j *workload.Job, idx int) int {
 	switch {
 	case j.Queue == workload.ProdLong:
 		// prod-long jobs are allocated racks from row 0 (paper §IV-A),
 		// spilling onto other rows only when row 0 is full.
-		for _, idx := range order {
-			if idx < row0End {
-				appendAvail(&pref, idx)
-			} else {
-				appendAvail(&rest, idx)
-			}
+		if idx < topology.ColsPerRow*topology.MidplanesPerRack {
+			return 0
 		}
-		return append(pref, rest...)
+		return 1
 	case j.AffinityCol >= 0:
 		// Rack-affine users: the row-0 rack of their column first (the
 		// habitual target), then the rest of the column, then anywhere.
-		var first []int
-		rackOf := func(idx int) topology.RackID {
-			return topology.RackByIndex(idx / topology.MidplanesPerRack)
+		rack := idx / topology.MidplanesPerRack
+		switch {
+		case rack%topology.ColsPerRow != j.AffinityCol:
+			return 2
+		case rack < topology.ColsPerRow: // row 0
+			return 0
+		default:
+			return 1
 		}
-		for _, idx := range order {
-			r := rackOf(idx)
-			switch {
-			case r.Col == j.AffinityCol && r.Row == 0:
-				appendAvail(&first, idx)
-			case r.Col == j.AffinityCol:
-				appendAvail(&pref, idx)
-			default:
-				appendAvail(&rest, idx)
-			}
-		}
-		return append(append(first, pref...), rest...)
 	default:
 		// Ordinary jobs place anywhere, visiting racks in the tick's
 		// popularity-weighted order.
-		_ = rest
-		for _, idx := range order {
-			appendAvail(&pref, idx)
-		}
-		return pref
+		return 0
 	}
 }
 

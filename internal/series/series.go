@@ -224,6 +224,12 @@ func (g GroupBy) keyOf(t time.Time) int {
 type Profile struct {
 	Group  GroupBy
 	groups map[int]*groupAcc
+
+	// last memoizes the group of the most recent instant (lastNano): a
+	// tick's samples share one timestamp, so the calendar conversion and
+	// map lookup run once per tick rather than once per rack.
+	last     *groupAcc
+	lastNano int64
 }
 
 type groupAcc struct {
@@ -238,11 +244,15 @@ func NewProfile(g GroupBy) *Profile {
 
 // Add records one observation at time t.
 func (p *Profile) Add(t time.Time, v float64) {
-	k := p.Group.keyOf(t)
-	acc, ok := p.groups[k]
-	if !ok {
-		acc = &groupAcc{r: NewReservoir(4096, int64(k)*7919+1)}
-		p.groups[k] = acc
+	acc := p.last
+	if n := t.UnixNano(); acc == nil || n != p.lastNano {
+		k := p.Group.keyOf(t)
+		var ok bool
+		if acc, ok = p.groups[k]; !ok {
+			acc = &groupAcc{r: NewReservoir(4096, int64(k)*7919+1)}
+			p.groups[k] = acc
+		}
+		p.last, p.lastNano = acc, n
 	}
 	acc.v.Add(v)
 	acc.r.Add(v)

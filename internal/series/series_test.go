@@ -258,3 +258,59 @@ func TestSeriesResampleTrailingPartial(t *testing.T) {
 		t.Errorf("single-point resample = %v", rs.Points)
 	}
 }
+
+// TestProfileMemoMatchesFreshKey checks the per-instant group memo against
+// a reference that derives every sample's key afresh. The stream crosses a
+// month end, the year end and both 2016 US DST transition instants (the
+// twin's Chicago is fixed CST, so those hours must bucket as ordinary
+// ones), with 48 samples per instant in alternating zones and an instant
+// that recurs after others, so the memo sees hits, misses and a return to
+// an earlier group.
+func TestProfileMemoMatchesFreshKey(t *testing.T) {
+	utc := func(y int, m time.Month, d, h int) time.Time { return time.Date(y, m, d, h, 0, 0, 0, time.UTC) }
+	var instants []time.Time
+	for _, start := range []time.Time{
+		utc(2015, 12, 31, 22), // year end, 16:00 Chicago
+		utc(2016, 1, 31, 22),  // month end
+		utc(2016, 3, 13, 5),   // US spring forward, 02:00 CST
+		utc(2016, 11, 6, 4),   // US fall back, 01:00 CST
+	} {
+		for i := 0; i < 72; i++ { // six hours at 300 s
+			instants = append(instants, start.Add(time.Duration(i)*timeutil.SampleInterval))
+		}
+	}
+	instants = append(instants, instants[3], instants[len(instants)-1])
+	for g := ByYear; g <= ByYearMonth; g++ {
+		memo, fresh := NewProfile(g), NewProfile(g)
+		for i, at := range instants {
+			// Alternate zones: the memo keys on the instant, not the zone.
+			if i%2 == 1 {
+				at = at.In(timeutil.Chicago)
+			}
+			for r := 0; r < 48; r++ {
+				v := float64(i*48 + r)
+				memo.Add(at, v)
+				fresh.last = nil
+				fresh.Add(at, v)
+			}
+		}
+		keys := memo.Keys()
+		if want := fresh.Keys(); len(keys) != len(want) {
+			t.Fatalf("group %d: keys %v, want %v", g, keys, want)
+		}
+		for _, k := range keys {
+			if memo.N(k) != fresh.N(k) || memo.Mean(k) != fresh.Mean(k) || memo.Median(k) != fresh.Median(k) {
+				t.Errorf("group %d key %d: memo n=%d mean=%v median=%v, fresh n=%d mean=%v median=%v", g, k,
+					memo.N(k), memo.Mean(k), memo.Median(k), fresh.N(k), fresh.Mean(k), fresh.Median(k))
+			}
+		}
+	}
+	// The stream really crossed groups.
+	y := NewProfile(ByYear)
+	for _, at := range instants {
+		y.Add(at, 0)
+	}
+	if keys := y.Keys(); len(keys) != 2 || keys[0] != 2015 || keys[1] != 2016 {
+		t.Errorf("year keys = %v, want [2015 2016]", keys)
+	}
+}

@@ -211,7 +211,9 @@ func floorDiv(a, b int64) int64 {
 // different racks proceed in parallel.
 func (s *Store) Append(r sensors.Record) error {
 	s.init()
-	s.loc.CompareAndSwap(nil, r.Time.Location())
+	if s.loc.Load() == nil {
+		s.loc.CompareAndSwap(nil, r.Time.Location())
+	}
 	t := r.Time.UnixNano()
 	sh := s.shardPtr(r.Rack)
 	if sh == nil {
@@ -219,11 +221,12 @@ func (s *Store) Append(r sensors.Record) error {
 			r.Rack, s.fleet.Halls, s.fleet.Racks)
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if sh.hasLast && t < sh.lastT {
+		last := sh.lastT
+		sh.mu.Unlock()
 		metOutOfOrder.Inc()
 		return fmt.Errorf("tsdb: out-of-order record for rack %v: %v before %v",
-			r.Rack, r.Time, time.Unix(0, sh.lastT).In(s.location()))
+			r.Rack, r.Time, time.Unix(0, last).In(s.location()))
 	}
 	metAppend.Inc()
 	// The monotonicity watermark advances for every accepted record, kept
@@ -233,6 +236,7 @@ func (s *Store) Append(r sensors.Record) error {
 	sh.hasLast = true
 	sh.counter++
 	if s.opts.Downsample > 1 && (sh.counter-1)%s.opts.Downsample != 0 {
+		sh.mu.Unlock()
 		return nil
 	}
 	part := floorDiv(t, s.partNanos)
@@ -243,17 +247,16 @@ func (s *Store) Append(r sensors.Record) error {
 	if sh.head == nil {
 		sh.head = &headBlock{partition: part}
 	}
-	sh.head.times = append(sh.head.times, t)
-	for m := range sh.head.vals {
-		v := r.Value(sensors.Metric(m))
-		if scale := s.scales[m]; scale > 0 {
-			v = quantize(v, scale)
-		}
-		sh.head.vals[m] = append(sh.head.vals[m], v)
-	}
+	recs, nanos := [1]sensors.Record{r}, [1]int64{t}
+	s.fillHead(sh.head, recs[:], nanos[:], firstOnly)
 	sh.total++
+	sh.mu.Unlock()
 	return nil
 }
+
+// firstOnly is the one-record group through which Append shares AppendTick's
+// fillHead. fillHead only reads it.
+var firstOnly = []int32{0}
 
 // quantize rounds v to the store's decimal grid. NaN/Inf pass through (the
 // sealer falls back to XOR for such blocks).
@@ -434,9 +437,9 @@ func (s *Store) applyGroup(sh *shard, recs []sensors.Record, nanos []int64, g []
 }
 
 // fillHead appends one partition run of grouped records to a head block,
-// growing each column once and quantizing values straight into place. The
-// arithmetic must stay exactly quantize's — Append and AppendTick have to
-// produce bit-identical heads.
+// growing each column once and quantizing values straight into place. It
+// is the only head write: Append and AppendTick both go through it, so
+// their heads cannot drift apart.
 func (s *Store) fillHead(h *headBlock, recs []sensors.Record, nanos []int64, g []int32) {
 	base := len(h.times)
 	h.times = reserve(h.times, len(g))
