@@ -5,7 +5,7 @@
 //
 //	miraanalyze [-seed N] [-step 15m] [-figure all|2|3|...|15]
 //	            [-from out.csv] [-data dir] [-retention 0] [-scan-workers N]
-//	            [-scan-mode chunked|record] [-halls 1] [-racks 48] [-hall 0]
+//	            [-halls 1] [-racks 48] [-hall 0]
 //	            [-report report.json] [-log-format text|json]
 //
 // A full run at -step 15m takes under a minute; -step 300s matches the
@@ -70,7 +70,6 @@ func main() {
 		reportPath  = flag.String("report", "", "write a RunReport metric snapshot (JSON) to this file at exit")
 		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
 		scanWorkers = flag.Int("scan-workers", 0, "decode workers for parallel store scans on the offline paths (0 = GOMAXPROCS)")
-		scanMode    = flag.String("scan-mode", "chunked", "merged-scan surface for the replay figures: chunked (batch-columnar) or record (record-at-a-time)")
 		halls       = flag.Int("halls", 1, "machine halls the -data store is sized for")
 		racks       = flag.Int("racks", topology.NumRacks, "racks per hall (1..48)")
 		hall        = flag.Int("hall", 0, "which machine hall the offline figures describe (fleet stores are analyzed one hall at a time)")
@@ -100,13 +99,6 @@ func main() {
 	}
 
 	scan := analysis.CollectOptions{Workers: *scanWorkers, Hall: *hall}
-	switch *scanMode {
-	case "chunked":
-	case "record":
-		scan.ForceRecords = true
-	default:
-		logg.Fatalf("-scan-mode %q: want chunked or record", *scanMode)
-	}
 
 	if *remote != "" {
 		analyzeRemote(*remote, scan, *figure)
@@ -269,7 +261,7 @@ func analyzeData(dir string, seed int64, step, retention time.Duration, fleet to
 
 // analyzeRemote regenerates the coolant/ambient figures from a live
 // telemetry server over the wire. The client satisfies the same envdb
-// surfaces as a local store — merged scans stream for the replay figures,
+// surfaces as a local store — the chunk scan streams the replay figures,
 // and the Fig. 7/9 aggregation pushdown runs server-side with results
 // carried as raw float64 bits — so the figures diff clean against an
 // in-process run over the same store.
@@ -343,10 +335,11 @@ func analyzeOffline(path string, scan analysis.CollectOptions, figure string) {
 // analyzeStore prints the offline figures (3/7/8/9) from a telemetry
 // database, however it is reached (CSV import, warm segment open, a fresh
 // simulation, or a remote server through the telemetrynet client). The
-// replay streams the database's merged scan through the collector per the
-// scan options (worker count and surface); when only Figs. 7/9 are requested and the
-// database can push down, per-rack means come straight from compressed
-// columns via aggregation pushdown and the replay is skipped entirely.
+// replay streams the database's chunk scan through the collector with the
+// scan options' worker count and hall; when only Figs. 7/9 are requested
+// and the database can push down, per-rack means come straight from
+// compressed columns via aggregation pushdown and the replay is skipped
+// entirely.
 func analyzeStore(db envdb.DB, scan analysis.CollectOptions, figure string) {
 	want := func(f string) bool { return figure == "all" || figure == f }
 	if !want("3") && !want("7") && !want("8") && !want("9") {
@@ -357,8 +350,8 @@ func analyzeStore(db envdb.DB, scan analysis.CollectOptions, figure string) {
 	// One root span covers the whole figure run, so an analysis against a
 	// remote server shows up at /debug/traces (both ends) as a single trace:
 	// analyze.run → replay/pushdown → client RPC spans → server handler →
-	// tsdb scan/aggregate. The client's Ctx-aware scan and aggregate
-	// surfaces carry the trace in X-Mira-Trace.
+	// tsdb scan/aggregate. The client's scan and aggregate requests carry
+	// the trace in X-Mira-Trace.
 	ctx, span := obs.Span(context.Background(), "analyze.run")
 	defer span.End()
 	span.SetAttr("figure", figure)

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -273,7 +274,7 @@ func runOp(c *telemetrynet.Client, op int, rack topology.RackID, m sensors.Metri
 	case 1:
 		c.Series(rack, m, from, to)
 	default:
-		_, err = c.Aggregate(rack, m, from, to, time.Hour)
+		_, err = c.AggregateCtx(context.Background(), rack, m, from, to, time.Hour)
 	}
 	return err
 }

@@ -8,8 +8,7 @@
 //	miramon [-seed N] [-train-days 120] [-watch-days 45] [-data dir]
 //	        [-retention 0] [-compact-interval 1h] [-listen :8080] [-serve]
 //	        [-halls 1] [-racks 48] [-audit-interval 1m]
-//	        [-scan-mode chunked|record] [-report report.json]
-//	        [-log-format text|json]
+//	        [-report report.json] [-log-format text|json]
 //
 // With -data, a cold run persists the watched telemetry to segment files;
 // a warm run (segments already present) skips the simulation and instead
@@ -146,7 +145,6 @@ func main() {
 		reportPath  = flag.String("report", "", "write a RunReport metric snapshot (JSON) to this file at exit")
 		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
 		scanWorkers = flag.Int("scan-workers", 0, "decode workers for parallel store scans (0 = GOMAXPROCS)")
-		scanMode    = flag.String("scan-mode", "chunked", "merged-scan surface for the analysis summary: chunked (batch-columnar) or record (record-at-a-time)")
 		slowQuery   = flag.Duration("slow-query", 0, "log telemetry API requests at or over this duration as JSON slow-query lines on stderr, and always keep their traces at /debug/traces (0 = disabled)")
 		traceSample = flag.Float64("trace-sample", 1, "head-sampling ratio for request traces at /debug/traces, 0..1; slow requests are kept regardless")
 	)
@@ -162,13 +160,6 @@ func main() {
 	obs.ConfigureTracer(tcfg)
 
 	scan := analysis.CollectOptions{Workers: *scanWorkers}
-	switch *scanMode {
-	case "chunked":
-	case "record":
-		scan.ForceRecords = true
-	default:
-		logg.Fatalf("-scan-mode %q: want chunked or record", *scanMode)
-	}
 
 	if *serve && (*listen == "" || *dataDir == "") {
 		logg.Fatalf("-serve requires both -listen and -data")
@@ -387,28 +378,29 @@ func (a *auditor) runOnce() (records, alarms, coldWindows int, err error) {
 	}
 	// Racks advance at different rates (one pusher per rack group), so the
 	// scan starts at the stalest rack's watermark and per-rack skips below
-	// drop the records faster racks already audited. ScanShards fans out
-	// across every hall's shards, so one pass audits the whole fleet.
-	it := tsdb.MergeByTime(a.db.ScanShards(time.Unix(0, oldest+1), last.Add(time.Nanosecond), a.workers))
-	defer it.Close()
-	for it.Next() {
-		r := it.Record()
-		idx := a.fleet.GlobalIndex(r.Rack)
-		n := r.Time.UnixNano()
-		if n <= a.lastN[idx] {
-			continue
+	// drop the records faster racks already audited. The scan fans out
+	// across every hall's shards, so one pass audits the whole fleet; it
+	// runs untraced, so periodic audits mint no traces.
+	err = a.db.ScanChunksRange(context.Background(), time.Unix(0, oldest+1), last.Add(time.Nanosecond), a.workers, nil, func(c *envdb.Chunk) bool {
+		for i := range c.Times {
+			r := c.Record(i)
+			idx := a.fleet.GlobalIndex(r.Rack)
+			if c.Times[i] <= a.lastN[idx] {
+				continue
+			}
+			a.lastN[idx] = c.Times[i]
+			if c.Tiers[i] != envdb.TierRaw {
+				coldWindows++
+				continue
+			}
+			records++
+			if len(a.thresholds.Check(r)) > 0 {
+				alarms++
+			}
 		}
-		a.lastN[idx] = n
-		if it.Tier() != envdb.TierRaw {
-			coldWindows++
-			continue
-		}
-		records++
-		if len(a.thresholds.Check(r)) > 0 {
-			alarms++
-		}
-	}
-	if err := it.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return records, alarms, coldWindows, err
 	}
 	metAuditRuns.Inc()
@@ -529,7 +521,7 @@ func finish(logg *obs.Logger, srv *obs.HTTPServer, db *tsdb.Store, dataDir strin
 // the store so the analysis-layer metrics (figure durations) are populated
 // alongside tsdb and sim series on /metrics and in the RunReport.
 func summarizeAnalysis(db *tsdb.Store, scan analysis.CollectOptions) {
-	c := analysis.CollectFromStoreOpts(db, scan)
+	c := analysis.CollectFromStoreCtx(context.Background(), db, scan)
 	fig7 := c.Fig7RackCoolant()
 	fig9 := c.Fig9RackAmbient()
 	fmt.Printf("\nrack spreads over the watch window: flow %.1f%%, inlet %.1f%%, outlet %.1f%%; most humid rack %v\n",
@@ -551,7 +543,7 @@ func replayAudit(db *tsdb.Store, dir string, scan analysis.CollectOptions, logg 
 		db.Len(), dir, float64(st.DiskBytes)/(1<<20))
 	fmt.Printf("window: %s .. %s\n\n", first.Format("2006-01-02 15:04"), last.Format("2006-01-02 15:04"))
 
-	// The merged scan behind the auditor decodes shards in parallel and —
+	// The chunk scan behind the auditor decodes shards in parallel and —
 	// unlike EachRecord — returns decode failures instead of panicking,
 	// which suits a replay over disk-loaded segments.
 	aud := newAuditor(db, scan.Workers)

@@ -1,14 +1,17 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"mira/internal/envdb"
+	"mira/internal/sensors"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
 	"mira/internal/tsdb"
@@ -39,7 +42,7 @@ func TestCollectFromStoreMixedLocations(t *testing.T) {
 		}
 	}
 
-	c := CollectFromStore(db)
+	c := collect(db, 0)
 	fig := c.Fig3CoolantTimeline()
 	// One tick per instant → the plant flow is the two racks' sum, not the
 	// mean of two half-populated ticks.
@@ -59,6 +62,11 @@ func TestCollectFromStoreMixedLocations(t *testing.T) {
 	}
 }
 
+// collect replays db on `workers` decode workers.
+func collect(db envdb.DB, workers int) *Collector {
+	return CollectFromStoreCtx(context.Background(), db, CollectOptions{Workers: workers})
+}
+
 // multiDayStore simulates a multi-day full-machine trace (every rack,
 // coolant-monitor cadence) into a compressed store with enough variation
 // to make every figure's aggregates non-trivial.
@@ -73,7 +81,7 @@ func multiDayStore(t *testing.T, days int) *tsdb.Store {
 // to db. The rng is re-seeded and fast-forwarded through skipped ticks, so
 // any tick range yields the same records regardless of where it starts —
 // a compacted store's hot window can be rebuilt record-for-record.
-func fillTrace(t *testing.T, db *tsdb.Store, from, to int) {
+func fillTrace(t *testing.T, db envdb.Appender, from, to int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	start := time.Date(2015, 3, 10, 0, 0, 0, 0, timeutil.Chicago)
@@ -97,16 +105,17 @@ func fillTrace(t *testing.T, db *tsdb.Store, from, to int) {
 	}
 }
 
-// TestReplayMergedBoundedMemory pins the tentpole's memory bound on a
-// multi-day full-machine trace: the streaming replay's peak buffering is
-// exactly one tick — one record per rack — where the old path
-// materialized the whole trace (ticks × racks records) in a map.
+// TestReplayMergedBoundedMemory pins the replay's memory bound on the
+// slice store's serial merge: over a multi-day full-machine trace the
+// streaming replay's peak buffering is exactly one tick — one record per
+// rack — not the whole trace (ticks × racks records).
 func TestReplayMergedBoundedMemory(t *testing.T) {
-	db := multiDayStore(t, 3) // 864 ticks × 48 racks ≈ 41k records
+	db := envdb.NewStore()
+	fillTrace(t, db, 0, 3*288) // 864 ticks × 48 racks ≈ 41k records
 	c := NewCollector()
-	maxTick, err := replayMerged(db, 4, c)
+	maxTick, err := replay(context.Background(), db, 4, 0, c)
 	if err != nil {
-		t.Fatalf("replayMerged: %v", err)
+		t.Fatalf("replay: %v", err)
 	}
 	c.Finalize()
 	if maxTick != topology.NumRacks {
@@ -117,27 +126,68 @@ func TestReplayMergedBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestReplayChunkedMatchesRecords pins the tentpole's correctness bar: the
-// batch-columnar replay (the default) and the record-at-a-time replay
-// (ForceRecords) must produce figures that are bit-identical — not merely
-// close — because both materialize records from the same decoded columns
-// in the same visit order.
+// oracleCollect is the brute-force reference replay: every rack's Query
+// output stable-sorted by (instant, rack code), grouped into ticks by
+// instant, and fed to a Collector tick by tick.
+func oracleCollect(db *tsdb.Store) *Collector {
+	first, last, _ := db.Bounds()
+	var recs []sensors.Record
+	for _, rack := range topology.AllRacks() {
+		recs = append(recs, db.Query(rack, first, last.Add(time.Nanosecond))...)
+	}
+	sort.SliceStable(recs, func(a, b int) bool {
+		ta, tb := recs[a].Time.UnixNano(), recs[b].Time.UnixNano()
+		if ta != tb {
+			return ta < tb
+		}
+		return recs[a].Rack.Code() < recs[b].Rack.Code()
+	})
+	c := NewCollector()
+	for lo := 0; lo < len(recs); {
+		hi := lo
+		var power units.Watts
+		for ; hi < len(recs) && recs[hi].Time.Equal(recs[lo].Time); hi++ {
+			power += recs[hi].Power
+		}
+		c.OnTick(recs[lo].Time, power, nanUtil)
+		for _, r := range recs[lo:hi] {
+			c.OnSample(r)
+		}
+		lo = hi
+	}
+	c.Finalize()
+	return c
+}
+
+// sameFigures requires the replay figures (3, 7, 8, 9) of two collectors
+// to be bit-identical. Fig3/Fig8 carry NaN fields when the trace has no
+// summer months, and NaN != NaN under DeepEqual; the %+v rendering
+// distinguishes every non-NaN float while treating NaN as equal to itself.
+func sameFigures(t *testing.T, got, want *Collector) {
+	t.Helper()
+	if g, w := fmt.Sprintf("%+v", got.Fig3CoolantTimeline()), fmt.Sprintf("%+v", want.Fig3CoolantTimeline()); g != w {
+		t.Errorf("Fig3 differs:\n got  %s\n want %s", g, w)
+	}
+	if g, w := got.Fig7RackCoolant(), want.Fig7RackCoolant(); !reflect.DeepEqual(g, w) {
+		t.Errorf("Fig7 differs:\n got  %+v\n want %+v", g, w)
+	}
+	if g, w := fmt.Sprintf("%+v", got.Fig8AmbientTimeline()), fmt.Sprintf("%+v", want.Fig8AmbientTimeline()); g != w {
+		t.Errorf("Fig8 differs:\n got  %s\n want %s", g, w)
+	}
+	if g, w := got.Fig9RackAmbient(), want.Fig9RackAmbient(); !reflect.DeepEqual(g, w) {
+		t.Errorf("Fig9 differs:\n got  %+v\n want %+v", g, w)
+	}
+}
+
+// TestReplayChunkedMatchesRecords pins the replay's correctness bar: the
+// chunk-scan replay must produce figures bit-identical — not merely close
+// — to the oracle replay of the store's per-rack records, at every worker
+// count.
 func TestReplayChunkedMatchesRecords(t *testing.T) {
 	db := multiDayStore(t, 2)
-	chunked := CollectFromStoreOpts(db, CollectOptions{Workers: 3})
-	records := CollectFromStoreOpts(db, CollectOptions{Workers: 3, ForceRecords: true})
-
-	if got, want := fmt.Sprintf("%+v", chunked.Fig3CoolantTimeline()), fmt.Sprintf("%+v", records.Fig3CoolantTimeline()); got != want {
-		t.Errorf("Fig3 differs:\n chunked %s\n records %s", got, want)
-	}
-	if got, want := chunked.Fig7RackCoolant(), records.Fig7RackCoolant(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig7 differs:\n chunked %+v\n records %+v", got, want)
-	}
-	if got, want := fmt.Sprintf("%+v", chunked.Fig8AmbientTimeline()), fmt.Sprintf("%+v", records.Fig8AmbientTimeline()); got != want {
-		t.Errorf("Fig8 differs:\n chunked %s\n records %s", got, want)
-	}
-	if got, want := chunked.Fig9RackAmbient(), records.Fig9RackAmbient(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig9 differs:\n chunked %+v\n records %+v", got, want)
+	want := oracleCollect(db)
+	for _, workers := range []int{1, 3, 0} {
+		sameFigures(t, collect(db, workers), want)
 	}
 }
 
@@ -146,9 +196,9 @@ func TestReplayChunkedMatchesRecords(t *testing.T) {
 func TestReplayChunkedBoundedMemory(t *testing.T) {
 	db := multiDayStore(t, 2)
 	c := NewCollector()
-	maxTick, err := replayChunked(db, 4, c)
+	maxTick, err := replay(context.Background(), db, 4, 0, c)
 	if err != nil {
-		t.Fatalf("replayChunked: %v", err)
+		t.Fatalf("replay: %v", err)
 	}
 	c.Finalize()
 	if maxTick != topology.NumRacks {
@@ -156,33 +206,18 @@ func TestReplayChunkedBoundedMemory(t *testing.T) {
 	}
 }
 
-// noShardScan hides the ShardScanner capability so CollectFromStore takes
-// the buffering fallback path.
-type noShardScan struct{ envdb.DB }
-
-// TestCollectFromStoreFallbackEquivalence: the streaming merged replay
-// and the legacy buffering fallback must produce identical figures from
-// the same store.
+// TestCollectFromStoreFallbackEquivalence: the slice store's serial merge
+// and the compressed store's parallel chunk merge must produce identical
+// figures from the same records.
 func TestCollectFromStoreFallbackEquivalence(t *testing.T) {
 	db := multiDayStore(t, 2)
-	merged := CollectFromStoreParallel(db, 3)
-	fallback := CollectFromStore(noShardScan{db})
-
-	// Fig3/Fig8 carry NaN fields when the trace has no summer months, and
-	// NaN != NaN under DeepEqual; the %+v rendering distinguishes every
-	// non-NaN float while treating NaN as equal to itself.
-	if got, want := fmt.Sprintf("%+v", merged.Fig3CoolantTimeline()), fmt.Sprintf("%+v", fallback.Fig3CoolantTimeline()); got != want {
-		t.Errorf("Fig3 differs:\n merged  %s\n grouped %s", got, want)
-	}
-	if got, want := merged.Fig7RackCoolant(), fallback.Fig7RackCoolant(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig7 differs:\n merged  %+v\n grouped %+v", got, want)
-	}
-	if got, want := fmt.Sprintf("%+v", merged.Fig8AmbientTimeline()), fmt.Sprintf("%+v", fallback.Fig8AmbientTimeline()); got != want {
-		t.Errorf("Fig8 differs:\n merged  %s\n grouped %s", got, want)
-	}
-	if got, want := merged.Fig9RackAmbient(), fallback.Fig9RackAmbient(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig9 differs:\n merged  %+v\n grouped %+v", got, want)
-	}
+	slice := envdb.NewStore()
+	db.EachRecord(func(r sensors.Record) {
+		if err := slice.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sameFigures(t, collect(slice, 1), collect(db, 3))
 }
 
 // closeF reports a ≈ b within relative tolerance tol (NaN equals NaN).
@@ -215,11 +250,11 @@ func closeSlice(a, b []float64, tol float64) bool {
 func TestPushdownMatchesReplay(t *testing.T) {
 	const tol = 1e-9
 	db := multiDayStore(t, 2)
-	c := CollectFromStoreParallel(db, 2)
+	c := collect(db, 2)
 
-	fig7, err := Fig7CoolantPushdown(db)
+	fig7, err := Fig7CoolantPushdownCtx(context.Background(), db)
 	if err != nil {
-		t.Fatalf("Fig7CoolantPushdown: %v", err)
+		t.Fatalf("Fig7CoolantPushdownCtx: %v", err)
 	}
 	if want := c.Fig7RackCoolant(); !closeSlice(fig7.FlowGPM, want.FlowGPM, tol) ||
 		!closeSlice(fig7.InletF, want.InletF, tol) ||
@@ -229,9 +264,9 @@ func TestPushdownMatchesReplay(t *testing.T) {
 		!closeF(fig7.OutletSpreadPct, want.OutletSpreadPct, tol) {
 		t.Errorf("Fig7 pushdown differs:\n pushdown %+v\n replay   %+v", fig7, want)
 	}
-	fig9, err := Fig9AmbientPushdown(db)
+	fig9, err := Fig9AmbientPushdownCtx(context.Background(), db)
 	if err != nil {
-		t.Fatalf("Fig9AmbientPushdown: %v", err)
+		t.Fatalf("Fig9AmbientPushdownCtx: %v", err)
 	}
 	if want := c.Fig9RackAmbient(); !closeSlice(fig9.TempF, want.TempF, tol) ||
 		!closeSlice(fig9.HumidityRH, want.HumidityRH, tol) ||
@@ -272,8 +307,8 @@ func TestReplaySkipsDownsampledTier(t *testing.T) {
 	hot := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
 	fillTrace(t, hot, fromTick, 3*288)
 
-	got := CollectFromStoreParallel(db, 3)
-	want := CollectFromStoreParallel(hot, 3)
+	got := collect(db, 3)
+	want := collect(hot, 3)
 	if g, w := fmt.Sprintf("%+v", got.Fig3CoolantTimeline()), fmt.Sprintf("%+v", want.Fig3CoolantTimeline()); g != w {
 		t.Errorf("Fig3 differs:\n compacted %s\n hot-only  %s", g, w)
 	}
@@ -294,13 +329,13 @@ func TestPushdownCompactionInvariant(t *testing.T) {
 	db := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour, Retention: 24 * time.Hour})
 	fillTrace(t, db, 0, 3*288)
 
-	before7, err := Fig7CoolantPushdown(db)
+	before7, err := Fig7CoolantPushdownCtx(context.Background(), db)
 	if err != nil {
-		t.Fatalf("Fig7CoolantPushdown: %v", err)
+		t.Fatalf("Fig7CoolantPushdownCtx: %v", err)
 	}
-	before9, err := Fig9AmbientPushdown(db)
+	before9, err := Fig9AmbientPushdownCtx(context.Background(), db)
 	if err != nil {
-		t.Fatalf("Fig9AmbientPushdown: %v", err)
+		t.Fatalf("Fig9AmbientPushdownCtx: %v", err)
 	}
 	st, err := db.Compact("")
 	if err != nil {
@@ -309,13 +344,13 @@ func TestPushdownCompactionInvariant(t *testing.T) {
 	if st.Windows == 0 {
 		t.Fatal("compaction folded nothing; the invariant is not exercised")
 	}
-	after7, err := Fig7CoolantPushdown(db)
+	after7, err := Fig7CoolantPushdownCtx(context.Background(), db)
 	if err != nil {
-		t.Fatalf("Fig7CoolantPushdown after compact: %v", err)
+		t.Fatalf("Fig7CoolantPushdownCtx after compact: %v", err)
 	}
-	after9, err := Fig9AmbientPushdown(db)
+	after9, err := Fig9AmbientPushdownCtx(context.Background(), db)
 	if err != nil {
-		t.Fatalf("Fig9AmbientPushdown after compact: %v", err)
+		t.Fatalf("Fig9AmbientPushdownCtx after compact: %v", err)
 	}
 	if !reflect.DeepEqual(before7, after7) {
 		t.Errorf("Fig7 changed under compaction:\n before %+v\n after  %+v", before7, after7)

@@ -308,7 +308,7 @@ func TestCollectFromStoreMatchesLive(t *testing.T) {
 		}
 	}
 	live.Finalize()
-	offline := CollectFromStore(db)
+	offline := collect(db, 0)
 
 	lf, of := live.Fig7RackCoolant(), offline.Fig7RackCoolant()
 	if math.Abs(lf.FlowSpreadPct-of.FlowSpreadPct) > 1e-9 {

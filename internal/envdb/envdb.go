@@ -8,6 +8,7 @@
 package envdb
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -22,9 +23,9 @@ import (
 )
 
 // DB is the environmental-database surface shared by the slice-backed
-// Store and the compressed tsdb.Store: ordered ingest, rack/time-range
-// queries, single-metric series extraction, full scans with early stop,
-// and CSV interchange.
+// Store, the compressed tsdb.Store and the telemetrynet client: ordered
+// ingest, rack/time-range queries, single-metric series extraction, full
+// scans with early stop, the time-ordered chunk scan, and CSV interchange.
 type DB interface {
 	// Append ingests one record; records must arrive in non-decreasing
 	// time order per rack (equal timestamps are allowed).
@@ -44,24 +45,14 @@ type DB interface {
 	ExportCSV(w io.Writer) error
 	// ImportCSV reads records in the csvHeader schema.
 	ImportCSV(r io.Reader) error
-}
-
-// ShardScanner is an optional capability of DB implementations whose
-// storage is sharded by rack: a fan-out scan that visits every record in
-// global timestamp order (ties broken by ascending rack index) instead of
-// EachRecord's rack-major order. workers bounds the number of concurrent
-// shard decoders (values <= 1 request a serial scan; implementations
-// without decode work may ignore it). The visit order is deterministic
-// for a fixed store regardless of workers. The scan stops early when f
-// returns false; unlike the panic-on-corruption EachRecord surface,
-// scan failures come back as errors.
-//
-// Consumers that need global time order (e.g. offline tick replay) should
-// type-assert for this capability and fall back to buffering EachRecord
-// output when it is absent — the DB interface itself stays minimal so
-// simple implementations keep working.
-type ShardScanner interface {
-	EachRecordMerged(workers int, f func(sensors.Record) bool) error
+	// ScanChunks visits every stored record in global (timestamp, rack
+	// code) order as reused columnar chunks, stopping early when f returns
+	// false. workers bounds the concurrent shard decoders (<= 0 selects
+	// GOMAXPROCS; stores without decode work ignore it); the visit order is
+	// the same for every worker count. ctx carries the caller's trace and
+	// scan counters (ScanStatsFrom). Unlike the panic-on-corruption
+	// EachRecord surface, scan failures come back as errors.
+	ScanChunks(ctx context.Context, workers int, f func(*Chunk) bool) error
 }
 
 // Tier identifies the storage tier a scanned record came from in stores
@@ -77,27 +68,15 @@ const (
 	TierDownsampled
 )
 
-// TierScanner is an optional capability of ShardScanner implementations
-// with a downsampled cold tier: the same merged scan, with each record's
-// tier. Consumers that replay full-rate semantics (tick grouping, incident
-// detection) should skip TierDownsampled records — a window mean is not a
-// sample — while aggregate consumers may use both. Implementations without
-// tiers simply don't implement this; callers fall back to EachRecordMerged
-// treating everything as raw.
-type TierScanner interface {
-	ShardScanner
-	EachRecordMergedTier(workers int, f func(sensors.Record, Tier) bool) error
-}
-
-// Chunk is one batch of a chunked merged scan: parallel columns holding up
-// to a few thousand consecutive rows of the global (timestamp, rack) order.
-// Columnar delivery amortizes the per-record callback and materialization
-// cost of EachRecordMerged away — consumers read the columns they need and
-// call Record only for rows they must materialize.
+// Chunk is one batch of a ScanChunks scan: parallel columns holding
+// consecutive rows of the global (timestamp, rack) order. Columnar
+// delivery amortizes the per-record callback and materialization cost —
+// consumers read the columns they need and call Record only for rows they
+// must materialize.
 //
-// A Chunk passed to an EachChunkMerged callback is only valid for the
-// duration of the call: the scanner reuses its backing arrays for the next
-// chunk. Consumers that need rows afterwards must copy them out.
+// A Chunk passed to a ScanChunks callback is only valid for the duration
+// of the call: the scanner reuses its backing arrays for the next chunk.
+// Consumers that need rows afterwards must copy them out.
 type Chunk struct {
 	// Loc is the records' location, shared by every row.
 	Loc *time.Location
@@ -117,8 +96,30 @@ type Chunk struct {
 // Len returns the number of rows in the chunk.
 func (c *Chunk) Len() int { return len(c.Times) }
 
-// Record materializes row i. The result is bit-identical to what the
-// record-at-a-time scan surfaces for the same stored row.
+// Reset empties the chunk for rows in loc, keeping its backing arrays.
+func (c *Chunk) Reset(loc *time.Location) {
+	c.Loc = loc
+	c.Times = c.Times[:0]
+	c.Racks = c.Racks[:0]
+	c.Tiers = c.Tiers[:0]
+	for m := range c.Cols {
+		c.Cols[m] = c.Cols[m][:0]
+	}
+}
+
+// appendRecord adds r as the chunk's last row; the caller keeps rows in
+// scan order and r's instant in Loc.
+func (c *Chunk) appendRecord(r sensors.Record, tier Tier) {
+	c.Times = append(c.Times, r.Time.UnixNano())
+	c.Racks = append(c.Racks, r.Rack.Code())
+	c.Tiers = append(c.Tiers, tier)
+	for m := range c.Cols {
+		c.Cols[m] = append(c.Cols[m], r.Value(sensors.Metric(m)))
+	}
+}
+
+// Record materializes row i: the stored instant in Loc, the rack, and the
+// six channel values bit for bit.
 func (c *Chunk) Record(i int) sensors.Record {
 	rack, err := topology.RackFromCode(c.Racks[i])
 	if err != nil {
@@ -136,16 +137,6 @@ func (c *Chunk) Record(i int) sensors.Record {
 		OutletTemp:    units.Fahrenheit(c.Cols[sensors.MetricOutletTemp][i]),
 		Power:         units.Watts(c.Cols[sensors.MetricPower][i]),
 	}
-}
-
-// ChunkScanner is an optional capability of ShardScanner implementations
-// with a batch-columnar scan path: the same global (timestamp, rack) order
-// as EachRecordMerged, delivered as columnar chunks instead of one record
-// per callback. The scan stops early when f returns false; failures come
-// back as errors. Consumers should type-assert for this capability and
-// fall back to the record surfaces when it is absent.
-type ChunkScanner interface {
-	EachChunkMerged(workers int, f func(*Chunk) bool) error
 }
 
 // WindowAgg is one aggregation window of an Aggregator pushdown query.
@@ -171,10 +162,11 @@ func (w WindowAgg) Mean() float64 {
 // Aggregator is an optional capability of DB implementations that can
 // compute per-window min/max/sum/count of one rack's metric without
 // materializing records — aggregation pushdown straight off the storage
-// representation. Bounds scopes whole-store aggregations.
+// representation. Bounds scopes whole-store aggregations; ctx carries the
+// caller's trace.
 type Aggregator interface {
 	Bounds() (first, last time.Time, ok bool)
-	Aggregate(rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]WindowAgg, error)
+	AggregateCtx(ctx context.Context, rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]WindowAgg, error)
 }
 
 // Appender is the minimal ingest surface ReadCSV needs.
@@ -337,15 +329,18 @@ func (s *Store) EachRecordUntil(f func(sensors.Record) bool) {
 	}
 }
 
-var _ ShardScanner = (*Store)(nil)
+// storeChunkRows is the fill target of one Store.ScanChunks chunk.
+const storeChunkRows = 4096
 
-// EachRecordMerged implements ShardScanner: a serial k-way merge over the
-// per-rack record slices, yielding the whole store in global timestamp
-// order with rack-index tie-breaking and O(racks) state — no copy of the
-// trace is ever built. The slice store has no per-shard decode work to fan
-// out, so workers is ignored.
-func (s *Store) EachRecordMerged(_ int, f func(sensors.Record) bool) error {
+// ScanChunks implements DB: a serial k-way merge over the per-rack record
+// slices, yielding the whole store in global timestamp order with
+// rack-index tie-breaking and O(racks) state — no copy of the trace is ever
+// built. The rows of one chunk share Loc, so a record whose Location
+// differs from its predecessor's starts a new chunk. The slice store has
+// no per-shard decode work to fan out, so workers is ignored.
+func (s *Store) ScanChunks(_ context.Context, _ int, f func(*Chunk) bool) error {
 	var pos [topology.NumRacks]int
+	var c Chunk
 	for {
 		best := -1
 		var bestT int64
@@ -358,13 +353,20 @@ func (s *Store) EachRecordMerged(_ int, f func(sensors.Record) bool) error {
 			}
 		}
 		if best < 0 {
+			if c.Len() > 0 {
+				f(&c)
+			}
 			return nil
 		}
 		r := s.records[best][pos[best]]
 		pos[best]++
-		if !f(r) {
-			return nil
+		if loc := r.Time.Location(); loc != c.Loc || c.Len() >= storeChunkRows {
+			if c.Len() > 0 && !f(&c) {
+				return nil
+			}
+			c.Reset(loc)
 		}
+		c.appendRecord(r, TierRaw)
 	}
 }
 

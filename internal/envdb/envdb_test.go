@@ -2,7 +2,10 @@ package envdb
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -327,13 +330,15 @@ func TestWriteCSVStopsOnWriteError(t *testing.T) {
 	}
 }
 
-// TestEachRecordMerged: the slice store's ShardScanner must yield the
-// whole store in global time order with rack-index tie-breaking, matching
-// the contract of the compressed store's parallel scanner.
-func TestEachRecordMerged(t *testing.T) {
+// TestScanChunksOracle: the slice store's chunk scan must equal a
+// brute-force oracle — every rack's Query output stable-sorted by
+// (instant, rack code) — row for row and bit for bit, with every row
+// TierRaw and every chunk's rows sharing one Loc: a record in another
+// location starts a new chunk.
+func TestScanChunksOracle(t *testing.T) {
 	s := NewStore()
 	racks := []topology.RackID{{Row: 2, Col: 14}, {Row: 0, Col: 3}, {Row: 1, Col: 9}}
-	const ticks = 50
+	const ticks = 3000
 	for i := 0; i < ticks; i++ {
 		ts := base.Add(time.Duration(i) * timeutil.SampleInterval)
 		for j, r := range racks {
@@ -341,36 +346,75 @@ func TestEachRecordMerged(t *testing.T) {
 			if i%len(racks) == j {
 				continue
 			}
-			if err := s.Append(rec(r, ts, 64)); err != nil {
+			if i >= 2000 && j == 1 {
+				ts = ts.UTC() // same instants, another location
+			}
+			if err := s.Append(rec(r, ts, 64+float64(i%7)/8)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	var prevT int64
-	prevRack := -1
-	n := 0
-	if err := s.EachRecordMerged(7, func(r sensors.Record) bool {
-		k := r.Time.UnixNano()
-		if n > 0 && (k < prevT || (k == prevT && r.Rack.Index() <= prevRack)) {
-			t.Fatalf("order violation at record %d: (%d,%d) after (%d,%d)", n, k, r.Rack.Index(), prevT, prevRack)
+	var want []sensors.Record
+	for _, rack := range topology.AllRacks() {
+		want = append(want, s.Query(rack, base, base.Add(ticks*timeutil.SampleInterval))...)
+	}
+	sort.SliceStable(want, func(a, b int) bool {
+		ta, tb := want[a].Time.UnixNano(), want[b].Time.UnixNano()
+		if ta != tb {
+			return ta < tb
 		}
-		prevT, prevRack = k, r.Rack.Index()
-		n++
+		return want[a].Rack.Code() < want[b].Rack.Code()
+	})
+	if len(want) != s.Len() {
+		t.Fatalf("oracle holds %d records, store %d", len(want), s.Len())
+	}
+
+	var got []sensors.Record
+	chunks := 0
+	if err := s.ScanChunks(context.Background(), 7, func(c *Chunk) bool {
+		chunks++
+		if c.Len() == 0 {
+			t.Fatal("empty chunk delivered")
+		}
+		for i := 0; i < c.Len(); i++ {
+			if c.Tiers[i] != TierRaw {
+				t.Fatalf("row %d tier = %v, want TierRaw", len(got), c.Tiers[i])
+			}
+			r := c.Record(i)
+			if want := want[len(got)].Time.Location(); c.Loc != want {
+				t.Fatalf("row %d in a %v chunk, record in %v", len(got), c.Loc, want)
+			}
+			got = append(got, r)
+		}
 		return true
 	}); err != nil {
-		t.Fatalf("EachRecordMerged: %v", err)
+		t.Fatalf("ScanChunks: %v", err)
 	}
-	if n != s.Len() {
-		t.Fatalf("visited %d records, want %d", n, s.Len())
+	if len(got) != len(want) {
+		t.Fatalf("visited %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !g.Time.Equal(w.Time) || g.Time.Location() != w.Time.Location() || g.Rack != w.Rack {
+			t.Fatalf("row %d = (%v, %v), want (%v, %v)", i, g.Time, g.Rack, w.Time, w.Rack)
+		}
+		for _, m := range sensors.AllMetrics() {
+			if math.Float64bits(g.Value(m)) != math.Float64bits(w.Value(m)) {
+				t.Fatalf("row %d %v = %v, want %v", i, m, g.Value(m), w.Value(m))
+			}
+		}
+	}
+	if chunks < 3 {
+		t.Fatalf("%d rows arrived in %d chunks; want the row cap and the location change to split them", len(got), chunks)
 	}
 
 	// Early stop.
-	n = 0
-	if err := s.EachRecordMerged(1, func(sensors.Record) bool { n++; return n < 10 }); err != nil {
+	chunks = 0
+	if err := s.ScanChunks(context.Background(), 1, func(*Chunk) bool { chunks++; return false }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 {
-		t.Fatalf("early stop visited %d, want 10", n)
+	if chunks != 1 {
+		t.Fatalf("early stop visited %d chunks, want 1", chunks)
 	}
 }

@@ -1,10 +1,8 @@
 package envdb
 
-// Context-aware scan capabilities. The plain DB surface predates request
-// tracing; these optional interfaces let a caller thread a
-// context.Context — carrying trace spans and per-request scan counters —
-// through a scan without changing the base contract. Callers type-assert
-// and fall back to the plain methods, so every DB keeps working.
+// Per-request scan accounting. DB.ScanChunks and Aggregator.AggregateCtx
+// take a context.Context that carries trace spans and, through
+// ContextWithScanStats, the counters below.
 //
 // ScanStats lives here (not in tsdb) so the telemetry server can read the
 // counters without importing the storage engine.
@@ -12,10 +10,6 @@ package envdb
 import (
 	"context"
 	"sync/atomic"
-	"time"
-
-	"mira/internal/sensors"
-	"mira/internal/topology"
 )
 
 // ScanStats accumulates per-request scan work: rows delivered by the
@@ -48,22 +42,4 @@ func ScanStatsFrom(ctx context.Context) *ScanStats {
 	}
 	s, _ := ctx.Value(scanStatsKey{}).(*ScanStats)
 	return s
-}
-
-// ContextTierScanner is a TierScanner whose merged scan accepts a
-// context for tracing and scan accounting.
-type ContextTierScanner interface {
-	EachRecordMergedTierCtx(ctx context.Context, workers int, f func(sensors.Record, Tier) bool) error
-}
-
-// ContextChunkScanner is a ChunkScanner whose chunked scan accepts a
-// context for tracing and scan accounting.
-type ContextChunkScanner interface {
-	EachChunkMergedCtx(ctx context.Context, workers int, f func(*Chunk) bool) error
-}
-
-// ContextAggregator is an Aggregator whose pushdown accepts a context
-// for tracing.
-type ContextAggregator interface {
-	AggregateCtx(ctx context.Context, rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]WindowAgg, error)
 }

@@ -80,7 +80,7 @@ func (s *ActiveSpan) Context() SpanContext {
 }
 
 // SetAttr attaches a key/value annotation shown in the /debug/traces tree
-// (e.g. rows decoded, scan mode). Nil-safe; last write wins on render.
+// (e.g. rows decoded, blocks pruned). Nil-safe; last write wins on render.
 func (s *ActiveSpan) SetAttr(key, value string) {
 	if s == nil {
 		return

@@ -8,10 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,15 +55,15 @@ type ClientStats struct {
 }
 
 // Client speaks the telemetrynet wire protocol and implements envdb.DB —
-// including the envdb.Aggregator pushdown and the optional merged-scan
-// capabilities — against a remote Server, so `mirasim -push` records into
-// it and `miraanalyze -remote` analyzes through it exactly as they would
-// an in-process store. Reads are bit-identical to local reads: float64
+// including the time-ordered ScanChunks and the envdb.Aggregator
+// pushdown — against a remote Server, so `mirasim -push` records into it
+// and `miraanalyze -remote` analyzes through it exactly as they would an
+// in-process store. Reads are bit-identical to local reads: float64
 // channels travel as raw bit patterns and aggregation runs server-side.
 //
-// Error model: methods that return errors (Append, Flush, Aggregate,
-// EachRecordMerged*, ExportCSV/ImportCSV, Info) surface transport and
-// protocol failures normally. The error-free envdb.DB read surface
+// Error model: methods that return errors (Append, Flush, AggregateCtx,
+// ScanChunks, ExportCSV/ImportCSV, Info) surface transport and protocol
+// failures normally. The error-free envdb.DB read surface
 // (Query, Series, Len, Bounds, EachRecord*) mirrors the local stores'
 // convention — there a failure means corrupted memory and panics — by
 // panicking on a failed request; remote consumers should prefer the
@@ -90,11 +88,8 @@ type Client struct {
 }
 
 var (
-	_ envdb.DB                 = (*Client)(nil)
-	_ envdb.Aggregator         = (*Client)(nil)
-	_ envdb.TierScanner        = (*Client)(nil)
-	_ envdb.ContextTierScanner = (*Client)(nil)
-	_ envdb.ContextAggregator  = (*Client)(nil)
+	_ envdb.DB         = (*Client)(nil)
+	_ envdb.Aggregator = (*Client)(nil)
 )
 
 // NewClient creates a client for the telemetry server at baseURL (e.g.
@@ -251,8 +246,7 @@ func retryBackoff(attempt int, id, seq uint64) time.Duration {
 	return time.Duration(attempt)*50*time.Millisecond + jitter
 }
 
-// httpError carries the status code so capability fallbacks can detect
-// 501/404 (endpoint or pushdown unavailable).
+// httpError carries a non-200 response's status code and body.
 type httpError struct {
 	code int
 	msg  string
@@ -260,11 +254,6 @@ type httpError struct {
 
 func (e *httpError) Error() string {
 	return fmt.Sprintf("telemetrynet: server %d: %s", e.code, e.msg)
-}
-
-func unavailable(err error) bool {
-	he, ok := err.(*httpError)
-	return ok && (he.code == http.StatusNotImplemented || he.code == http.StatusNotFound)
 }
 
 // injectTrace stamps the outgoing request with the context's trace, so
@@ -304,7 +293,7 @@ func (c *Client) get(ctx context.Context, path string, q url.Values) (io.ReadClo
 
 func rangeParams(rack topology.RackID, from, to time.Time) url.Values {
 	// The rack travels as its packed code; for hall 0 this is the plain
-	// index, so the params are unchanged against pre-fleet servers.
+	// index.
 	return url.Values{
 		"rack": {strconv.FormatUint(uint64(rack.Code()), 10)},
 		"from": {strconv.FormatInt(from.UnixNano(), 10)},
@@ -412,21 +401,35 @@ func (c *Client) EachRecord(f func(sensors.Record)) {
 // returns false (the remaining stream is abandoned, not downloaded).
 // Panics on a failed request.
 func (c *Client) EachRecordUntil(f func(sensors.Record) bool) {
-	err := c.scan(c.ctx, url.Values{"order": {"rack"}}, func(r sensors.Record, _ byte) bool { return f(r) })
-	if err == nil {
-		return
-	}
-	if unavailable(err) {
-		// Fallback for servers without /v1/scan: per-rack range queries in
-		// rack order reproduce the same visit order.
-		if ferr := c.fallbackRackScan(f); ferr == nil {
-			return
+	err := c.scan(c.ctx, url.Values{"order": {"rack"}}, func(ch *envdb.Chunk) bool {
+		for i := range ch.Times {
+			if !f(ch.Record(i)) {
+				return false
+			}
 		}
+		return true
+	})
+	if err != nil {
+		panic(err)
 	}
-	panic(err)
 }
 
-func (c *Client) scan(ctx context.Context, q url.Values, f func(sensors.Record, byte) bool) error {
+// ScanChunks implements envdb.DB over the wire: the server streams its own
+// ScanChunks (workers bounds the server-side decode fan-out, still capped
+// by the server's own option) with each row's tier, and the client decodes
+// it into one reused chunk whose Loc is the stream's zone. The request
+// carries ctx's trace in X-Mira-Trace, so the server-side handler and tsdb
+// scan spans join the caller's trace.
+func (c *Client) ScanChunks(ctx context.Context, workers int, f func(*envdb.Chunk) bool) error {
+	q := url.Values{"order": {"time"}, "tiers": {"1"}}
+	if workers > 0 {
+		q.Set("workers", strconv.Itoa(workers))
+	}
+	return c.scan(ctx, q, f)
+}
+
+// scan streams one /v1/scan request into f.
+func (c *Client) scan(ctx context.Context, q url.Values, f func(*envdb.Chunk) bool) error {
 	ctx, span := obs.Span(ctx, "net.client.scan")
 	defer span.End()
 	body, err := c.get(ctx, "/v1/scan", q)
@@ -436,104 +439,17 @@ func (c *Client) scan(ctx context.Context, q url.Values, f func(sensors.Record, 
 	defer body.Close()
 	rows := 0
 	defer func() { span.SetAttr("rows", strconv.Itoa(rows)) }()
-	return readChunkStream(body, func(r sensors.Record, tier byte) bool {
-		rows++
-		return f(r, tier)
+	return readChunks(body, func(ch *envdb.Chunk) bool {
+		rows += ch.Len()
+		return f(ch)
 	})
 }
 
-func (c *Client) fallbackRackScan(f func(sensors.Record) bool) error {
-	info, err := c.Info()
-	if err != nil {
-		return err
-	}
-	if !info.HasData {
-		return nil
-	}
-	loc := zoneLocation(info.ZoneOffsetSeconds)
-	first := time.Unix(0, info.FirstUnixNano).In(loc)
-	to := time.Unix(0, info.LastUnixNano).In(loc).Add(time.Nanosecond)
-	// Pre-fleet servers omit the fleet fields; Norm defaults them to the
-	// single-machine 1 × 48 shape.
-	fleet := topology.Fleet{Halls: info.Halls, Racks: info.RacksPerHall}.Norm()
-	for _, rack := range fleet.AllRacks() {
-		recs, err := c.queryErr(c.ctx, rack, first, to)
-		if err != nil {
-			return err
-		}
-		for _, r := range recs {
-			if !f(r) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// EachRecordMerged implements envdb.ShardScanner over the wire: the server
-// streams its global time-ordered merge (workers bounds the server-side
-// decode fan-out, still capped by the server's own option).
-func (c *Client) EachRecordMerged(workers int, f func(sensors.Record) bool) error {
-	return c.EachRecordMergedTier(workers, func(r sensors.Record, _ envdb.Tier) bool { return f(r) })
-}
-
-// EachRecordMergedTier implements envdb.TierScanner over the wire. When
-// the server lacks the scan endpoint it falls back to per-rack queries
-// merged client-side (O(trace) memory, every record TierRaw) — the
-// graceful-degradation contract of the optional scanner capabilities.
-func (c *Client) EachRecordMergedTier(workers int, f func(sensors.Record, envdb.Tier) bool) error {
-	return c.EachRecordMergedTierCtx(c.ctx, workers, f)
-}
-
-// EachRecordMergedTierCtx implements envdb.ContextTierScanner over the
-// wire: the scan request carries ctx's trace in X-Mira-Trace, so the
-// server-side handler and tsdb scan spans join the caller's trace.
-func (c *Client) EachRecordMergedTierCtx(ctx context.Context, workers int, f func(sensors.Record, envdb.Tier) bool) error {
-	q := url.Values{"order": {"time"}, "tiers": {"1"}}
-	if workers > 0 {
-		q.Set("workers", strconv.Itoa(workers))
-	}
-	err := c.scan(ctx, q, func(r sensors.Record, tier byte) bool { return f(r, envdb.Tier(tier)) })
-	if err != nil && unavailable(err) {
-		return c.fallbackMergedTier(f)
-	}
-	return err
-}
-
-func (c *Client) fallbackMergedTier(f func(sensors.Record, envdb.Tier) bool) error {
-	var all []sensors.Record
-	if err := c.fallbackRackScan(func(r sensors.Record) bool {
-		all = append(all, r)
-		return true
-	}); err != nil {
-		return err
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		ta, tb := all[a].Time.UnixNano(), all[b].Time.UnixNano()
-		if ta != tb {
-			return ta < tb
-		}
-		return all[a].Rack.Code() < all[b].Rack.Code()
-	})
-	for _, r := range all {
-		if !f(r, envdb.TierRaw) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Aggregate implements envdb.Aggregator over the wire: the server computes
-// per-window count/min/max/sum straight off its compressed columns and the
-// results travel as raw float64 bits — bit-identical to an in-process
-// Aggregate call. When the server's store cannot push down (501), the
-// client degrades to aggregating a Series fetch locally (float-order
-// accumulation, no integer-domain exactness).
-func (c *Client) Aggregate(rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]envdb.WindowAgg, error) {
-	return c.AggregateCtx(c.ctx, rack, m, from, to, window)
-}
-
-// AggregateCtx implements envdb.ContextAggregator over the wire.
+// AggregateCtx implements envdb.Aggregator over the wire: the server
+// computes per-window count/min/max/sum straight off its compressed
+// columns and the results travel as raw float64 bits — bit-identical to an
+// in-process Aggregate call. A store without pushdown answers 501, which
+// comes back as an error.
 func (c *Client) AggregateCtx(ctx context.Context, rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]envdb.WindowAgg, error) {
 	ctx, span := obs.Span(ctx, "net.client.aggregate")
 	defer span.End()
@@ -542,9 +458,6 @@ func (c *Client) AggregateCtx(ctx context.Context, rack topology.RackID, m senso
 	q.Set("window", strconv.FormatInt(int64(window), 10))
 	body, err := c.get(ctx, "/v1/aggregate", q)
 	if err != nil {
-		if unavailable(err) {
-			return c.aggregateLocal(rack, m, from, to, window)
-		}
 		return nil, err
 	}
 	defer body.Close()
@@ -559,45 +472,6 @@ func (c *Client) AggregateCtx(ctx context.Context, rack topology.RackID, m senso
 			Count: int(a.count),
 			Min:   a.min, Max: a.max, Sum: a.sum,
 		}
-	}
-	return out, nil
-}
-
-// aggregateLocal reproduces the tsdb window grid over a fetched series.
-func (c *Client) aggregateLocal(rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]envdb.WindowAgg, error) {
-	fromN, toN := from.UnixNano(), to.UnixNano()
-	if toN <= fromN {
-		return nil, nil
-	}
-	winN := int64(window)
-	if winN <= 0 {
-		winN = toN - fromN
-	}
-	nWin := (toN-fromN-1)/winN + 1
-	if nWin > maxAggWindows {
-		return nil, fmt.Errorf("telemetrynet: aggregate fallback needs %d windows (max %d)", nWin, maxAggWindows)
-	}
-	times, vals := c.Series(rack, m, from, to)
-	loc := time.UTC
-	if len(times) > 0 {
-		loc = times[0].Location()
-	}
-	out := make([]envdb.WindowAgg, nWin)
-	for k := range out {
-		out[k] = envdb.WindowAgg{Start: time.Unix(0, fromN+int64(k)*winN).In(loc), Min: math.NaN(), Max: math.NaN()}
-	}
-	for i, t := range times {
-		k := (t.UnixNano() - fromN) / winN
-		w := &out[k]
-		v := vals[i]
-		if w.Count == 0 || v < w.Min {
-			w.Min = v
-		}
-		if w.Count == 0 || v > w.Max {
-			w.Max = v
-		}
-		w.Sum += v
-		w.Count++
 	}
 	return out, nil
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mira/internal/envdb"
-	"mira/internal/sensors"
 	"mira/internal/tsdb"
 )
 
@@ -146,62 +145,6 @@ func TestRetryBackoffJitter(t *testing.T) {
 	}
 }
 
-// TestClientScanFallback: against a server without /v1/scan (an older
-// deployment), the merged and rack-order iterations degrade to per-rack
-// range queries with identical visit order.
-func TestClientScanFallback(t *testing.T) {
-	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
-	fillStore(t, store, netTrace(6))
-	inner := NewServer(store, ServerOptions{}).Handler()
-	noScan := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/scan" {
-			http.NotFound(w, r)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer noScan.Close()
-	client := NewClient(noScan.URL, ClientOptions{})
-
-	var want []sensors.Record
-	if err := store.EachRecordMergedTier(2, func(r sensors.Record, _ envdb.Tier) bool {
-		want = append(want, r)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var got []sensors.Record
-	if err := client.EachRecordMergedTier(2, func(r sensors.Record, tier envdb.Tier) bool {
-		if tier != envdb.TierRaw {
-			t.Fatalf("fallback tier = %v, want TierRaw", tier)
-		}
-		got = append(got, r)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fallback merged scan: %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !sameRecord(got[i], want[i]) {
-			t.Fatalf("fallback merged record %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-
-	var rackWant, rackGot []sensors.Record
-	store.EachRecord(func(r sensors.Record) { rackWant = append(rackWant, r) })
-	client.EachRecord(func(r sensors.Record) { rackGot = append(rackGot, r) })
-	if len(rackGot) != len(rackWant) {
-		t.Fatalf("fallback rack scan: %d records, want %d", len(rackGot), len(rackWant))
-	}
-	for i := range rackWant {
-		if !sameRecord(rackGot[i], rackWant[i]) {
-			t.Fatalf("fallback rack record %d mismatch", i)
-		}
-	}
-}
-
 // TestClientCSV: the client's CSV surface matches the store's byte for
 // byte, and an import round-trips through the wire.
 func TestClientCSV(t *testing.T) {
@@ -237,17 +180,11 @@ func TestClientCSV(t *testing.T) {
 	}
 }
 
-// TestClientInterfaces pins the capability set other packages type-assert.
+// TestClientInterfaces pins the pushdown capability analyses type-assert.
 func TestClientInterfaces(t *testing.T) {
 	var db envdb.DB = NewClient("http://unused", ClientOptions{})
 	if _, ok := db.(envdb.Aggregator); !ok {
 		t.Error("Client does not satisfy envdb.Aggregator")
-	}
-	if _, ok := db.(envdb.ShardScanner); !ok {
-		t.Error("Client does not satisfy envdb.ShardScanner")
-	}
-	if _, ok := db.(envdb.TierScanner); !ok {
-		t.Error("Client does not satisfy envdb.TierScanner")
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetrynet
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -51,11 +52,11 @@ func TestRemotePushdownBitIdentical(t *testing.T) {
 	store := analysisStore(t)
 	_, client := startServer(t, store)
 
-	localF7, err := analysis.Fig7CoolantPushdown(store)
+	localF7, err := analysis.Fig7CoolantPushdownCtx(context.Background(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteF7, err := analysis.Fig7CoolantPushdown(client)
+	remoteF7, err := analysis.Fig7CoolantPushdownCtx(context.Background(), client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +64,11 @@ func TestRemotePushdownBitIdentical(t *testing.T) {
 		t.Errorf("Fig7 pushdown differs over the wire:\n local  %+v\n remote %+v", localF7, remoteF7)
 	}
 
-	localF9, err := analysis.Fig9AmbientPushdown(store)
+	localF9, err := analysis.Fig9AmbientPushdownCtx(context.Background(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteF9, err := analysis.Fig9AmbientPushdown(client)
+	remoteF9, err := analysis.Fig9AmbientPushdownCtx(context.Background(), client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +79,15 @@ func TestRemotePushdownBitIdentical(t *testing.T) {
 
 // TestRemoteReplayEquivalence: the full streaming replay (every figure's
 // collector) through the remote scan endpoint matches the in-process
-// parallel merged replay. NaN-carrying figures compare via their %+v
+// replay. NaN-carrying figures compare via their %+v
 // rendering, which treats NaN as equal to itself.
 func TestRemoteReplayEquivalence(t *testing.T) {
 	store := analysisStore(t)
 	_, client := startServer(t, store)
 
-	local := analysis.CollectFromStoreParallel(store, 3)
-	remote := analysis.CollectFromStoreParallel(client, 3)
+	opts := analysis.CollectOptions{Workers: 3}
+	local := analysis.CollectFromStoreCtx(context.Background(), store, opts)
+	remote := analysis.CollectFromStoreCtx(context.Background(), client, opts)
 
 	if got, want := remote.Fig7RackCoolant(), local.Fig7RackCoolant(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Fig7 replay differs:\n local  %+v\n remote %+v", want, got)

@@ -8,7 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -22,7 +22,8 @@ import (
 // ServerOptions configures a telemetry Server.
 type ServerOptions struct {
 	// ScanWorkers bounds the decode workers behind streaming scan requests
-	// (<= 0 selects GOMAXPROCS); forwarded to the store's merged scan.
+	// (<= 0 selects GOMAXPROCS); a client's ?workers=N may ask for fewer,
+	// never more.
 	ScanWorkers int
 
 	// SlowQuery enables the slow-query log: any request taking at least
@@ -504,12 +505,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, req *http.Request) {
 	setRangeShape(shape, rack, from, to)
 	shape.set("metric", m.String())
 	shape.set("window", time.Duration(windowN).String())
-	var aggs []envdb.WindowAgg
-	if ca, ok := s.db.(envdb.ContextAggregator); ok {
-		aggs, err = ca.AggregateCtx(req.Context(), rack, m, from, to, time.Duration(windowN))
-	} else {
-		aggs, err = agg.Aggregate(rack, m, from, to, time.Duration(windowN))
-	}
+	aggs, err := agg.AggregateCtx(req.Context(), rack, m, from, to, time.Duration(windowN))
 	if err != nil {
 		// The store rejected the shape of the query (e.g. too many
 		// windows): the client's error, not the server's.
@@ -523,12 +519,25 @@ func (s *Server) handleAggregate(w http.ResponseWriter, req *http.Request) {
 	encodeAggs(w, s.zoneOff(), wire)
 }
 
+// scanWorkers resolves the decode fan-out of one scan request: the
+// operator's limit (<= 0 selects GOMAXPROCS) caps the client's request
+// (<= 0 asks for the limit), so a client cannot demand more decode
+// goroutines than the operator allowed.
+func scanWorkers(limit, requested int) int {
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	if requested > 0 && requested < limit {
+		return requested
+	}
+	return limit
+}
+
 // handleScan streams every stored record as a chunked frame sequence.
 // order=rack (default) walks rack-major like envdb.DB.EachRecord;
-// order=time yields the global time-ordered merge (rack ascending within
-// an instant) and honors tiers=1 by appending each record's storage tier.
-// Stores without the merged-scan capability fall back to a server-side
-// buffered sort, so the endpoint's contract holds for any envdb.DB.
+// order=time streams the store's ScanChunks — the global time-ordered
+// merge, rack ascending within an instant — and honors tiers=1 by
+// appending each record's storage tier.
 func (s *Server) handleScan(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	order := q.Get("order")
@@ -536,38 +545,40 @@ func (s *Server) handleScan(w http.ResponseWriter, req *http.Request) {
 		order = "rack"
 	}
 	tiered := q.Get("tiers") == "1"
-	workers := s.opts.ScanWorkers
+	requested := 0
 	if ws := q.Get("workers"); ws != "" {
 		n, err := strconv.Atoi(ws)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad workers %q", ws), http.StatusBadRequest)
 			return
 		}
-		// The server's own option caps remote fan-out requests: a client
-		// cannot demand more decode goroutines than the operator allowed.
-		if workers <= 0 || (n > 0 && n < workers) {
-			workers = n
-		}
+		requested = n
 	}
+	workers := scanWorkers(s.opts.ScanWorkers, requested)
 	shape := shapeFrom(req.Context())
 	shape.set("order", order)
 	shape.set("tiers", strconv.FormatBool(tiered))
 	shape.set("workers", strconv.Itoa(workers))
 	cw := newChunkWriter(w, tiered, s.fleet.Halls > 1, s.zoneOff())
 	sent := 0
-	emit := func(r sensors.Record, tier envdb.Tier) bool {
-		if err := cw.add(r, byte(tier)); err != nil {
-			return false // client went away; abandon the scan
-		}
-		sent++
-		return true
-	}
 	var err error
 	switch order {
 	case "rack":
-		s.db.EachRecordUntil(func(r sensors.Record) bool { return emit(r, envdb.TierRaw) })
+		s.db.EachRecordUntil(func(r sensors.Record) bool {
+			if cw.add(r, byte(envdb.TierRaw)) != nil {
+				return false // client went away; abandon the scan
+			}
+			sent++
+			return true
+		})
 	case "time":
-		err = s.mergedScan(req.Context(), workers, emit)
+		err = s.db.ScanChunks(req.Context(), workers, func(c *envdb.Chunk) bool {
+			if cw.addChunk(c) != nil {
+				return false // client went away; abandon the scan
+			}
+			sent += c.Len()
+			return true
+		})
 	default:
 		http.Error(w, fmt.Sprintf("bad order %q", order), http.StatusBadRequest)
 		return
@@ -583,39 +594,6 @@ func (s *Server) handleScan(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// mergedScan drives the store's best global-time-order capability:
-// TierScanner (context-aware when available, so the scan joins the
-// request's trace), then ShardScanner, then a buffered sort over
-// EachRecord for minimal stores.
-func (s *Server) mergedScan(ctx context.Context, workers int, f func(sensors.Record, envdb.Tier) bool) error {
-	if cts, ok := s.db.(envdb.ContextTierScanner); ok {
-		return cts.EachRecordMergedTierCtx(ctx, workers, f)
-	}
-	if ts, ok := s.db.(envdb.TierScanner); ok {
-		return ts.EachRecordMergedTier(workers, f)
-	}
-	if ss, ok := s.db.(envdb.ShardScanner); ok {
-		return ss.EachRecordMerged(workers, func(r sensors.Record) bool { return f(r, envdb.TierRaw) })
-	}
-	var all []sensors.Record
-	s.db.EachRecord(func(r sensors.Record) { all = append(all, r) })
-	sort.SliceStable(all, func(a, b int) bool {
-		ta, tb := all[a].Time.UnixNano(), all[b].Time.UnixNano()
-		if ta != tb {
-			return ta < tb
-		}
-		// Packed-code order is hall-major — the same fleet order the
-		// tsdb merged scan yields within an instant.
-		return all[a].Rack.Code() < all[b].Rack.Code()
-	})
-	for _, r := range all {
-		if !f(r, envdb.TierRaw) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // Info is the JSON body of /v1/info: the store's record count, time
 // bounds, calendar zone, and fleet shape.
 type Info struct {
@@ -624,8 +602,8 @@ type Info struct {
 	FirstUnixNano     int64 `json:"first_unixnano"`
 	LastUnixNano      int64 `json:"last_unixnano"`
 	ZoneOffsetSeconds int32 `json:"zone_offset_seconds"`
-	// Aggregator reports whether /v1/aggregate is available, so clients
-	// can fall back to client-side aggregation without a probe request.
+	// Aggregator reports whether /v1/aggregate is available; against a
+	// store without pushdown the endpoint answers 501.
 	Aggregator bool `json:"aggregator"`
 	// Halls and RacksPerHall describe the store's fleet shape. Omitted
 	// (zero) only by pre-fleet servers, so clients default both to the

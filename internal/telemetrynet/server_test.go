@@ -4,15 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mira/internal/envdb"
+	"mira/internal/obs"
 	"mira/internal/sensors"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
@@ -216,7 +223,7 @@ func TestAggregatePushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := client.Aggregate(rack, sensors.MetricFlow, first, last.Add(time.Nanosecond), window)
+	got, err := client.AggregateCtx(context.Background(), rack, sensors.MetricFlow, first, last.Add(time.Nanosecond), window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +242,7 @@ func TestAggregatePushdown(t *testing.T) {
 }
 
 // TestAggregateNotImplemented: a store without pushdown yields 501 on the
-// wire and the client degrades to aggregating a fetched series locally.
+// wire, and the client returns that error.
 func TestAggregateNotImplemented(t *testing.T) {
 	store := envdb.NewStore() // no envdb.Aggregator
 	fillStore(t, store, netTrace(4))
@@ -252,26 +259,75 @@ func TestAggregateNotImplemented(t *testing.T) {
 
 	start := time.Date(2014, 5, 20, 0, 0, 0, 0, timeutil.Chicago)
 	to := start.Add(4 * timeutil.SampleInterval)
-	got, err := client.Aggregate(topology.RackByIndex(2), sensors.MetricFlow, start, to, timeutil.SampleInterval)
-	if err != nil {
-		t.Fatalf("client fallback: %v", err)
+	got, err := client.AggregateCtx(context.Background(), topology.RackByIndex(2), sensors.MetricFlow, start, to, timeutil.SampleInterval)
+	var he *httpError
+	if !errors.As(err, &he) || he.code != http.StatusNotImplemented {
+		t.Fatalf("client aggregate = %v, %v; want the server's 501", got, err)
 	}
-	if len(got) != 4 {
-		t.Fatalf("%d windows, want 4", len(got))
+}
+
+// scanRow is one materialized row of a chunk scan.
+type scanRow struct {
+	r    sensors.Record
+	tier envdb.Tier
+}
+
+// scanRows materializes db's chunk scan.
+func scanRows(t *testing.T, db envdb.DB, workers int) []scanRow {
+	t.Helper()
+	var out []scanRow
+	if err := db.ScanChunks(context.Background(), workers, func(c *envdb.Chunk) bool {
+		for i := 0; i < c.Len(); i++ {
+			out = append(out, scanRow{c.Record(i), c.Tiers[i]})
+		}
+		return true
+	}); err != nil {
+		t.Fatalf("ScanChunks: %v", err)
 	}
-	_, vals := store.Series(topology.RackByIndex(2), sensors.MetricFlow, start, to)
-	for i, w := range got {
-		if w.Count != 1 || w.Min != vals[i] || w.Max != vals[i] || w.Sum != vals[i] {
-			t.Fatalf("window %d = %+v, want single sample %v", i, w, vals[i])
+	return out
+}
+
+// oracleRows is the brute-force reference for a store without a cold
+// tier: every fleet rack's Query output, stable-sorted by (instant, rack
+// code), every row TierRaw.
+func oracleRows(db envdb.DB, fleet topology.Fleet) []scanRow {
+	var out []scanRow
+	for _, rack := range fleet.AllRacks() {
+		for _, r := range db.Query(rack, time.Unix(0, 0), time.Unix(0, 1<<62)) {
+			out = append(out, scanRow{r, envdb.TierRaw})
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		ta, tb := out[a].r.Time.UnixNano(), out[b].r.Time.UnixNano()
+		if ta != tb {
+			return ta < tb
+		}
+		return out[a].r.Rack.Code() < out[b].r.Rack.Code()
+	})
+	return out
+}
+
+func sameRows(t *testing.T, label string, got, want []scanRow) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !sameRecord(got[i].r, want[i].r) || got[i].tier != want[i].tier {
+			t.Fatalf("%s: row %d = %+v/%v, want %+v/%v", label, i, got[i].r, got[i].tier, want[i].r, want[i].tier)
 		}
 	}
 }
 
 // TestScanOrders checks both streaming scan orders against the store's own
-// iteration, tier bytes included.
+// iteration, tier bytes included, and the client's chunk scan against the
+// oracle for the slice store and a 2-hall fleet store.
 func TestScanOrders(t *testing.T) {
-	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
-	fillStore(t, store, netTrace(10))
+	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour, Retention: 12 * time.Hour})
+	fillStore(t, store, netTrace(400))
+	if st, err := store.Compact(""); err != nil || st.Windows == 0 {
+		t.Fatalf("Compact: %+v, %v", st, err)
+	}
 	_, client := startServer(t, store)
 
 	var wantRack, gotRack []sensors.Record
@@ -286,39 +342,96 @@ func TestScanOrders(t *testing.T) {
 		}
 	}
 
-	type tiered struct {
-		r    sensors.Record
-		tier envdb.Tier
+	// Time order, with the cold tier's rows: the remote chunks equal the
+	// local ones row for row and tier for tier.
+	local := scanRows(t, store, 3)
+	if local[0].tier != envdb.TierDownsampled {
+		t.Fatal("compacted store scanned no downsampled rows")
 	}
-	var wantTime, gotTime []tiered
-	if err := store.EachRecordMergedTier(3, func(r sensors.Record, tier envdb.Tier) bool {
-		wantTime = append(wantTime, tiered{r, tier})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.EachRecordMergedTier(3, func(r sensors.Record, tier envdb.Tier) bool {
-		gotTime = append(gotTime, tiered{r, tier})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(gotTime) != len(wantTime) {
-		t.Fatalf("time scan: %d records, want %d", len(gotTime), len(wantTime))
-	}
-	for i := range wantTime {
-		if !sameRecord(gotTime[i].r, wantTime[i].r) || gotTime[i].tier != wantTime[i].tier {
-			t.Fatalf("time scan record %d mismatch", i)
-		}
-	}
+	sameRows(t, "compacted time scan", scanRows(t, client, 3), local)
 
 	// Early stop downloads a prefix without erroring.
-	n := 0
-	if err := client.EachRecordMerged(2, func(sensors.Record) bool { n++; return n < 7 }); err != nil {
+	chunks := 0
+	if err := client.ScanChunks(context.Background(), 2, func(c *envdb.Chunk) bool { chunks++; return false }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 7 {
-		t.Fatalf("early stop visited %d, want 7", n)
+	if chunks != 1 {
+		t.Fatalf("early stop visited %d chunks, want 1", chunks)
+	}
+
+	slice := envdb.NewStore()
+	fillStore(t, slice, netTrace(30))
+	_, sliceClient := startServer(t, slice)
+	one := topology.Fleet{}.Norm()
+	sameRows(t, "slice store", scanRows(t, slice, 1), oracleRows(slice, one))
+	sameRows(t, "slice store over the wire", scanRows(t, sliceClient, 1), oracleRows(slice, one))
+
+	fleet := topology.Fleet{Halls: 2, Racks: topology.NumRacks}
+	wide := tsdb.NewStoreWith(tsdb.Options{Partition: 6 * time.Hour, Fleet: fleet})
+	for _, r := range netTrace(60) {
+		for hall := 0; hall < fleet.Halls; hall++ {
+			r.Rack.Hall = hall
+			if err := wide.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, wideClient := startServer(t, wide)
+	for _, workers := range []int{1, 2, 3, 8} {
+		sameRows(t, fmt.Sprintf("2-hall fleet over the wire, workers=%d", workers), scanRows(t, wideClient, workers), oracleRows(wide, fleet))
+	}
+}
+
+// TestScanWorkersCap pins the operator's cap on a client's decode fan-out.
+func TestScanWorkersCap(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ limit, requested, want int }{
+		{limit: 4, requested: 0, want: 4},
+		{limit: 4, requested: 2, want: 2},
+		{limit: 4, requested: 48, want: 4},
+		{limit: 4, requested: -1, want: 4},
+		{limit: 0, requested: 0, want: procs},
+		{limit: 0, requested: 1, want: 1},
+		{limit: 0, requested: procs + 48, want: procs},
+		{limit: -3, requested: procs + 1, want: procs},
+	} {
+		if got := scanWorkers(tc.limit, tc.requested); got != tc.want {
+			t.Errorf("scanWorkers(%d, %d) = %d, want %d", tc.limit, tc.requested, got, tc.want)
+		}
+	}
+}
+
+// TestScanWorkersCapHTTP: with ServerOptions.ScanWorkers unset (GOMAXPROCS)
+// a client asking for 48 workers gets at most GOMAXPROCS decode goroutines
+// — read back from the mira_tsdb_scan_workers gauge. The one-hall store has
+// 48 shards, so even an uncapped request could start no more than 48.
+func TestScanWorkersCapHTTP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
+	fillStore(t, store, netTrace(20))
+	ts, _ := startServer(t, store)
+
+	resp, err := http.Get(ts.URL + "/v1/scan?order=time&workers=48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("scan status %d", resp.StatusCode)
+	}
+	var buf bytes.Buffer
+	if err := obs.Default().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var workers float64 = -1
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "mira_tsdb_scan_workers "); ok {
+			workers, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if workers < 1 || workers > 2 {
+		t.Fatalf("mira_tsdb_scan_workers = %v after a workers=48 request at GOMAXPROCS 2, want 1..2", workers)
 	}
 }
 
@@ -390,7 +503,7 @@ func TestConcurrentIngestQuery(t *testing.T) {
 					errs <- fmt.Errorf("query: %w", err)
 					return
 				}
-				if _, err := readClient.Aggregate(rack, sensors.MetricFlow, start, to, time.Hour); err != nil {
+				if _, err := readClient.AggregateCtx(context.Background(), rack, sensors.MetricFlow, start, to, time.Hour); err != nil {
 					errs <- fmt.Errorf("aggregate: %w", err)
 					return
 				}

@@ -12,7 +12,6 @@ import (
 
 	"mira/internal/envdb"
 	"mira/internal/obs"
-	"mira/internal/sensors"
 	"mira/internal/topology"
 	"mira/internal/tsdb"
 )
@@ -59,9 +58,9 @@ func spanByName(t *testing.T, spans []obs.SpanRecord, name string) obs.SpanRecor
 	return obs.SpanRecord{}
 }
 
-// TestEndToEndTracePropagation pins the tentpole: one remote merged scan
+// TestEndToEndTracePropagation pins the tentpole: one remote chunk scan
 // produces a single coherent trace — client RPC span → HTTP → server
-// handler span → tsdb merged-scan span → per-block worker spans — visible
+// handler span → tsdb chunk-scan span → per-block worker spans — visible
 // at /debug/traces on both ends (one ring here, since client and server
 // share the process).
 func TestEndToEndTracePropagation(t *testing.T) {
@@ -71,11 +70,11 @@ func TestEndToEndTracePropagation(t *testing.T) {
 
 	ctx, root := obs.Span(context.Background(), "test.e2e")
 	rows := 0
-	if err := client.EachRecordMergedTierCtx(ctx, 3, func(r sensors.Record, tier envdb.Tier) bool {
-		rows++
+	if err := client.ScanChunks(ctx, 3, func(c *envdb.Chunk) bool {
+		rows += c.Len()
 		return true
 	}); err != nil {
-		t.Fatalf("remote merged scan: %v", err)
+		t.Fatalf("remote chunk scan: %v", err)
 	}
 	root.End()
 	if rows != 8*topology.NumRacks {
@@ -84,11 +83,11 @@ func TestEndToEndTracePropagation(t *testing.T) {
 
 	id := root.Context().Trace
 	spans := waitTrace(t, id,
-		"test.e2e", "net.client.scan", "net.scan", "tsdb.scan_merged", "tsdb.scan_block")
+		"test.e2e", "net.client.scan", "net.scan", "tsdb.scan_chunked", "tsdb.scan_block")
 
 	clientScan := spanByName(t, spans, "net.client.scan")
 	handler := spanByName(t, spans, "net.scan")
-	merged := spanByName(t, spans, "tsdb.scan_merged")
+	merged := spanByName(t, spans, "tsdb.scan_chunked")
 	if clientScan.Parent != spanByName(t, spans, "test.e2e").ID {
 		t.Fatalf("net.client.scan parent %s, want root %s", clientScan.Parent, root.Context().Span)
 	}
@@ -97,7 +96,7 @@ func TestEndToEndTracePropagation(t *testing.T) {
 			handler.Parent, clientScan.ID)
 	}
 	if merged.Parent != handler.ID {
-		t.Fatalf("tsdb.scan_merged parent %s, want handler span %s", merged.Parent, handler.ID)
+		t.Fatalf("tsdb.scan_chunked parent %s, want handler span %s", merged.Parent, handler.ID)
 	}
 	blocks := 0
 	for _, sp := range spans {
@@ -120,7 +119,7 @@ func TestEndToEndTracePropagation(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("/debug/traces/%s: status %d", id, rec.Code)
 	}
-	for _, want := range []string{"test.e2e", "net.scan", "tsdb.scan_merged"} {
+	for _, want := range []string{"test.e2e", "net.scan", "tsdb.scan_chunked"} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Fatalf("/debug/traces tree missing %q:\n%s", want, rec.Body.String())
 		}

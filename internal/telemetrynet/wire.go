@@ -26,6 +26,7 @@ import (
 	"math"
 	"time"
 
+	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/topology"
 	"mira/internal/units"
@@ -137,24 +138,33 @@ func zoneLocation(off int32) *time.Location {
 	return time.FixedZone("wire", int(off))
 }
 
-func appendRecord(buf []byte, r sensors.Record) []byte {
-	buf = append(buf, byte(r.Rack.Index()))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Time.UnixNano()))
-	for m := 0; m < int(sensors.NumMetrics); m++ {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Value(sensors.Metric(m))))
+// appendRow appends one fixed-width record: the rack as a uint8 index (v1)
+// or, when wide, its uint16 packed code (v2: hall high byte, within-hall
+// index low byte; a hall-0 code equals the plain index), then the UnixNano
+// timestamp and the six channel bit patterns in sensors.Metric order.
+func appendRow(buf []byte, wide bool, code uint16, tN int64, vals *[sensors.NumMetrics]float64) []byte {
+	if wide {
+		buf = binary.LittleEndian.AppendUint16(buf, code)
+	} else {
+		buf = append(buf, byte(code))
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(tN))
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
 }
 
-// appendRecordWide is the v2 record encoding: the rack travels as its
-// uint16 packed code (hall high byte, within-hall index low byte).
-func appendRecordWide(buf []byte, r sensors.Record) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, r.Rack.Code())
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Time.UnixNano()))
-	for m := 0; m < int(sensors.NumMetrics); m++ {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Value(sensors.Metric(m))))
-	}
-	return buf
+// recordValues lists r's six channel values in sensors.Metric order — the
+// inverse of recordFromValues.
+func recordValues(r *sensors.Record) (vals [sensors.NumMetrics]float64) {
+	vals[sensors.MetricDCTemperature] = float64(r.DCTemperature)
+	vals[sensors.MetricDCHumidity] = float64(r.DCHumidity)
+	vals[sensors.MetricFlow] = float64(r.Flow)
+	vals[sensors.MetricInletTemp] = float64(r.InletTemp)
+	vals[sensors.MetricOutletTemp] = float64(r.OutletTemp)
+	vals[sensors.MetricPower] = float64(r.Power)
+	return vals
 }
 
 // hallZero reports whether every record lives in hall 0, i.e. the batch is
@@ -168,34 +178,23 @@ func hallZero(recs []sensors.Record) bool {
 	return true
 }
 
-// decodeRecord decodes one fixed-width v1 record; b must hold recordSize
-// bytes.
-func decodeRecord(b []byte, loc *time.Location) (sensors.Record, error) {
-	idx := int(b[0])
-	if idx >= topology.NumRacks {
-		return sensors.Record{}, frameErr("rack index %d out of range", idx)
+// decodeRow decodes one fixed-width record laid out by appendRow into its
+// rack, timestamp and vals; row must hold its recordSize (or, when wide,
+// recordSizeV2) bytes. A rack field that names no valid within-hall index
+// is a wrapped ErrFrame.
+func decodeRow(row []byte, wide bool, vals *[sensors.NumMetrics]float64) (rack topology.RackID, tN int64, err error) {
+	code, off := uint16(row[0]), 1
+	if wide {
+		code, off = binary.LittleEndian.Uint16(row), 2
 	}
-	var vals [sensors.NumMetrics]float64
+	if rack, err = topology.RackFromCode(code); err != nil {
+		return rack, 0, frameErr("%v", err)
+	}
+	tN = int64(binary.LittleEndian.Uint64(row[off:]))
 	for m := range vals {
-		vals[m] = math.Float64frombits(binary.LittleEndian.Uint64(b[9+8*m:]))
+		vals[m] = math.Float64frombits(binary.LittleEndian.Uint64(row[off+8+8*m:]))
 	}
-	return recordFromValues(topology.RackByIndex(idx),
-		time.Unix(0, int64(binary.LittleEndian.Uint64(b[1:]))).In(loc), vals), nil
-}
-
-// decodeRecordWide decodes one fixed-width v2 record; b must hold
-// recordSizeV2 bytes.
-func decodeRecordWide(b []byte, loc *time.Location) (sensors.Record, error) {
-	rack, err := topology.RackFromCode(binary.LittleEndian.Uint16(b))
-	if err != nil {
-		return sensors.Record{}, frameErr("%v", err)
-	}
-	var vals [sensors.NumMetrics]float64
-	for m := range vals {
-		vals[m] = math.Float64frombits(binary.LittleEndian.Uint64(b[10+8*m:]))
-	}
-	return recordFromValues(rack,
-		time.Unix(0, int64(binary.LittleEndian.Uint64(b[2:]))).In(loc), vals), nil
+	return rack, tN, nil
 }
 
 // recordFromValues assembles a Record from its six channel values in
@@ -237,12 +236,10 @@ func encodeIngestFrame(buf []byte, clientID, seq uint64, recs []sensors.Record) 
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(zoneOffset(recs[0].Time)))
-	for _, r := range recs {
-		if magic == ingestMagicV2 {
-			buf = appendRecordWide(buf, r)
-		} else {
-			buf = appendRecord(buf, r)
-		}
+	for i := range recs {
+		r := &recs[i]
+		vals := recordValues(r)
+		buf = appendRow(buf, magic == ingestMagicV2, r.Rack.Code(), r.Time.UnixNano(), &vals)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
@@ -295,16 +292,13 @@ func decodeIngestFrame(r io.Reader) (ingestFrame, error) {
 	}
 	loc := zoneLocation(zoneOff)
 	recs := make([]sensors.Record, count)
+	var vals [sensors.NumMetrics]float64
 	for i := range recs {
-		var err error
-		if rsize == recordSizeV2 {
-			recs[i], err = decodeRecordWide(body[i*rsize:], loc)
-		} else {
-			recs[i], err = decodeRecord(body[i*rsize:], loc)
-		}
+		rack, tN, err := decodeRow(body[i*rsize:], rsize == recordSizeV2, &vals)
 		if err != nil {
 			return ingestFrame{}, fmt.Errorf("record %d: %w", i, err)
 		}
+		recs[i] = recordFromValues(rack, time.Unix(0, tN).In(loc), vals)
 	}
 	return ingestFrame{ClientID: clientID, Seq: seq, Records: recs}, nil
 }
@@ -349,7 +343,28 @@ func (cw *chunkWriter) header() []byte {
 	return binary.LittleEndian.AppendUint32(hdr, uint32(cw.zoneOff))
 }
 
+// add appends one record with its tier byte (dropped unless tiered).
 func (cw *chunkWriter) add(r sensors.Record, tier byte) error {
+	vals := recordValues(&r)
+	return cw.addRow(r.Rack.Code(), r.Time.UnixNano(), &vals, tier)
+}
+
+// addChunk appends every row of c — the same bytes as adding c.Record(i)
+// with its tier, without materializing records.
+func (cw *chunkWriter) addChunk(c *envdb.Chunk) error {
+	var vals [sensors.NumMetrics]float64
+	for i, tN := range c.Times {
+		for m := range vals {
+			vals[m] = c.Cols[m][i]
+		}
+		if err := cw.addRow(c.Racks[i], tN, &vals, byte(c.Tiers[i])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (cw *chunkWriter) addRow(code uint16, tN int64, vals *[sensors.NumMetrics]float64, tier byte) error {
 	if !cw.started {
 		cw.started = true
 		if _, err := cw.w.Write(cw.header()); err != nil {
@@ -357,11 +372,7 @@ func (cw *chunkWriter) add(r sensors.Record, tier byte) error {
 		}
 		cw.buf = binary.LittleEndian.AppendUint32(cw.buf[:0], 0) // count placeholder
 	}
-	if cw.wide {
-		cw.buf = appendRecordWide(cw.buf, r)
-	} else {
-		cw.buf = appendRecord(cw.buf, r)
-	}
+	cw.buf = appendRow(cw.buf, cw.wide, code, tN, vals)
 	if cw.tiered {
 		cw.buf = append(cw.buf, tier)
 	}
@@ -402,11 +413,12 @@ func (cw *chunkWriter) close() error {
 	return err
 }
 
-// readChunkStream decodes a chunk stream, invoking f for each record until
-// the terminator chunk or f returns false (early stop: the remaining body
-// is abandoned, not decoded). Returns a wrapped ErrFrame on any malformed
-// or truncated input.
-func readChunkStream(r io.Reader, f func(rec sensors.Record, tier byte) bool) error {
+// readRows decodes a chunk stream, handing each row of a CRC-verified
+// chunk to row — with the stream's zone — until the terminator chunk or
+// row returns false (early stop: the remaining body is abandoned, not
+// decoded). Untiered streams read as TierRaw. Returns a wrapped ErrFrame
+// on any malformed or truncated input.
+func readRows(r io.Reader, row func(rack topology.RackID, tN int64, vals *[sensors.NumMetrics]float64, tier envdb.Tier, loc *time.Location) bool) error {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frameErr("reading stream header: %v", err)
@@ -427,6 +439,7 @@ func readChunkStream(r io.Reader, f func(rec sensors.Record, tier byte) bool) er
 		size++
 	}
 	var chunk []byte
+	var vals [sensors.NumMetrics]float64 // one row's values, reused
 	for {
 		var cntBuf [4]byte
 		if _, err := io.ReadFull(r, cntBuf[:]); err != nil {
@@ -452,26 +465,57 @@ func readChunkStream(r io.Reader, f func(rec sensors.Record, tier byte) bool) er
 		if count == 0 {
 			return nil // terminator
 		}
-		for i := 0; i < int(count); i++ {
-			var rec sensors.Record
-			var err error
-			if wide {
-				rec, err = decodeRecordWide(chunk[i*size:], loc)
-			} else {
-				rec, err = decodeRecord(chunk[i*size:], loc)
-			}
+		for b := chunk[:int(count)*size]; len(b) > 0; b = b[size:] {
+			rack, tN, err := decodeRow(b, wide, &vals)
 			if err != nil {
 				return err
 			}
-			var tier byte
+			tier := envdb.TierRaw
 			if tiered {
-				tier = chunk[i*size+rsize]
+				tier = envdb.Tier(b[rsize])
 			}
-			if !f(rec, tier) {
+			if !row(rack, tN, &vals, tier, loc) {
 				return nil
 			}
 		}
 	}
+}
+
+// readChunkStream is readRows one record at a time.
+func readChunkStream(r io.Reader, f func(rec sensors.Record, tier byte) bool) error {
+	return readRows(r, func(rack topology.RackID, tN int64, vals *[sensors.NumMetrics]float64, tier envdb.Tier, loc *time.Location) bool {
+		return f(recordFromValues(rack, time.Unix(0, tN).In(loc), *vals), byte(tier))
+	})
+}
+
+// wireChunkRows is the fill target of one decoded envdb.Chunk. A wire
+// chunk holds up to maxChunkRecords rows; delivering it in smaller pieces
+// keeps the client's decoded columns cache-sized.
+const wireChunkRows = 4096
+
+// readChunks is readRows into one reused envdb.Chunk: f sees up to
+// wireChunkRows rows at a time, Loc set to the stream's zone.
+func readChunks(r io.Reader, f func(*envdb.Chunk) bool) error {
+	var c envdb.Chunk
+	stopped := false
+	err := readRows(r, func(rack topology.RackID, tN int64, vals *[sensors.NumMetrics]float64, tier envdb.Tier, loc *time.Location) bool {
+		c.Loc = loc
+		c.Times = append(c.Times, tN)
+		c.Racks = append(c.Racks, rack.Code())
+		c.Tiers = append(c.Tiers, tier)
+		for m, v := range vals {
+			c.Cols[m] = append(c.Cols[m], v)
+		}
+		if c.Len() == wireChunkRows {
+			stopped = !f(&c)
+			c.Reset(loc)
+		}
+		return !stopped
+	})
+	if err == nil && !stopped && c.Len() > 0 {
+		f(&c)
+	}
+	return err
 }
 
 // encodeSeries writes a series response: times as UnixNano, values as raw

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -167,12 +168,10 @@ func benchStoreAllRacks(b *testing.B, days int) *Store {
 	return s
 }
 
-// BenchmarkEachRecord is the full-trace replay benchmark on the batch-
-// columnar path: the chunked merged scan in global (timestamp, rack) order
-// with a single decode worker pipelined against the merge loop — the shape
-// offline replay uses. Compare against BenchmarkEachRecordSerial (rack-
-// major, no merge) and BenchmarkEachRecordParallel (record-at-a-time
-// merge) for the chunked-vs-record contrast bench.sh records.
+// BenchmarkEachRecord is the full-trace replay benchmark: the chunk scan
+// in global (timestamp, rack) order with a single decode worker pipelined
+// against the merge loop — the shape offline replay uses. Compare against
+// BenchmarkEachRecordSerial (rack-major, no merge).
 func BenchmarkEachRecord(b *testing.B) {
 	s := benchStoreAllRacks(b, 7)
 	want := s.Len()
@@ -180,7 +179,7 @@ func BenchmarkEachRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if err := s.EachChunkMerged(1, func(c *envdb.Chunk) bool { n += c.Len(); return true }); err != nil {
+		if err := s.ScanChunks(context.Background(), 1, func(c *envdb.Chunk) bool { n += c.Len(); return true }); err != nil {
 			b.Fatal(err)
 		}
 		if n != want {
@@ -206,10 +205,10 @@ func BenchmarkEachRecordSerial(b *testing.B) {
 	b.ReportMetric(float64(want), "records/op")
 }
 
-// BenchmarkEachRecordParallel replays the same trace through the parallel
-// fan-out + k-way merge in global timestamp order. The GOMAXPROCS sub-
-// benchmarks show the decode scaling; on a single-core host all worker
-// counts collapse to serial throughput plus merge overhead.
+// BenchmarkEachRecordParallel replays the same trace through the chunk
+// scan at 1/2/4/8 decode workers. The sub-benchmarks show the decode
+// scaling; on a single-core host all worker counts collapse to serial
+// throughput.
 func BenchmarkEachRecordParallel(b *testing.B) {
 	s := benchStoreAllRacks(b, 7)
 	want := s.Len()
@@ -218,7 +217,7 @@ func BenchmarkEachRecordParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				if err := s.EachRecordMerged(workers, func(sensors.Record) bool { n++; return true }); err != nil {
+				if err := s.ScanChunks(context.Background(), workers, func(c *envdb.Chunk) bool { n += c.Len(); return true }); err != nil {
 					b.Fatal(err)
 				}
 				if n != want {
@@ -357,7 +356,7 @@ func benchStoreFleet(b *testing.B, days int) *Store {
 }
 
 // BenchmarkFleetScanChunked replays a 4-hall / 192-rack fleet store
-// through the chunked merged scan — the 192-way merge a fleet-wide
+// through the chunk scan — the 192-way merge a fleet-wide
 // analysis or audit pass runs, four times the single-machine fan-out of
 // BenchmarkEachRecord.
 func BenchmarkFleetScanChunked(b *testing.B) {
@@ -367,7 +366,7 @@ func BenchmarkFleetScanChunked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if err := s.EachChunkMerged(1, func(c *envdb.Chunk) bool { n += c.Len(); return true }); err != nil {
+		if err := s.ScanChunks(context.Background(), 1, func(c *envdb.Chunk) bool { n += c.Len(); return true }); err != nil {
 			b.Fatal(err)
 		}
 		if n != want {

@@ -1,16 +1,15 @@
 package tsdb
 
-// The batch-columnar merge: EachChunkMerged delivers the same global
-// (timestamp, rack) order as EachRecordMerged, but as columnar chunks
-// built a merge *round* at a time instead of one record per heap
-// operation. Each round finds the minimum timestamp t0 across the shard
-// streams and the next distinct timestamp after it; if one stream alone
-// holds t0 it bulk-copies every record below that boundary (a whole run
-// on disjoint shards), and if several streams tie at t0 — the common
-// shape for tick-aligned telemetry — each emits its t0 records in rack
-// order. Either way the copy is a tight per-run loop with no heap
-// maintenance, which is what moves the merged scan from ~2M to >20M
-// records/s on one core: the decode worker pipelines against this
+// The chunk merge: ScanChunks delivers the global (timestamp, rack) order
+// of a fanned-out scan (scan.go) as columnar chunks built a merge *round*
+// at a time instead of one record per heap operation. Each round finds the
+// minimum timestamp t0 across the shard streams and the next distinct
+// timestamp after it; if one stream alone holds t0 it bulk-copies every
+// record below that boundary (a whole run on disjoint shards), and if
+// several streams tie at t0 — the common shape for tick-aligned telemetry —
+// each emits its t0 records in rack order. Either way the copy is a tight
+// per-run loop with no heap maintenance, which keeps the merged scan above
+// 20M records/s on one core: the decode worker pipelines against this
 // merge loop, and neither does per-record bookkeeping.
 
 import (
@@ -29,57 +28,45 @@ import (
 // by up to one round.
 const chunkTargetRows = 4096
 
-var (
-	_ envdb.ChunkScanner        = (*Store)(nil)
-	_ envdb.ContextChunkScanner = (*Store)(nil)
-)
-
-// EachChunkMerged implements envdb.ChunkScanner: the merged scan of
-// EachRecordMerged delivered as reused columnar chunks. workers bounds the
-// decode pool exactly as in EachRecordMerged; the chunk assembly itself is
-// single-threaded, so row order is deterministic and equal to the record
-// surface's visit order.
-func (s *Store) EachChunkMerged(workers int, f func(*envdb.Chunk) bool) error {
-	return s.EachChunkMergedWhereCtx(context.Background(), workers, nil, f)
+// ScanChunks implements envdb.DB: the whole store in global (timestamp,
+// rack) order as reused columnar chunks. The scan runs against per-shard
+// snapshots, so concurrent appends proceed untouched; workers bounds the
+// decode pool (<= 0 selects GOMAXPROCS) while the chunk assembly stays
+// single-threaded, so row order is deterministic for any worker count.
+// Each row carries its storage tier: cold-tier windows appear as one
+// TierDownsampled row at the window start, valued at the window mean.
+func (s *Store) ScanChunks(ctx context.Context, workers int, f func(*envdb.Chunk) bool) error {
+	return s.ScanChunksRange(ctx, time.Unix(0, minTime), time.Unix(0, maxTime), workers, nil, f)
 }
 
-// EachChunkMergedCtx implements envdb.ContextChunkScanner: the chunked
-// scan as a child span of ctx's trace, with worker-side block decodes
-// linked under it and the request's scan counters updated.
-func (s *Store) EachChunkMergedCtx(ctx context.Context, workers int, f func(*envdb.Chunk) bool) error {
-	return s.EachChunkMergedWhereCtx(ctx, workers, nil, f)
-}
-
-// EachChunkMergedWhere is EachChunkMerged with zone-map pruning: sealed
-// blocks whose zones fail pred are skipped without decoding (see
-// ScanShardsWhere). Rows from unpruned blocks still appear even when they
-// individually fail the predicate — zones prune blocks, not rows.
-func (s *Store) EachChunkMergedWhere(workers int, pred BlockPredicate, f func(*envdb.Chunk) bool) error {
-	return s.EachChunkMergedWhereCtx(context.Background(), workers, pred, f)
-}
-
-// EachChunkMergedWhereCtx combines EachChunkMergedCtx and
-// EachChunkMergedWhere.
-func (s *Store) EachChunkMergedWhereCtx(ctx context.Context, workers int, pred BlockPredicate, f func(*envdb.Chunk) bool) error {
-	ctx, span := obs.Span(ctx, "tsdb.scan_chunked")
-	defer span.End()
-	st := envdb.ScanStatsFrom(ctx)
-	if st == nil {
-		st = new(envdb.ScanStats)
-		ctx = envdb.ContextWithScanStats(ctx, st)
+// ScanChunksRange is ScanChunks over records in [from, to), with zone-map
+// pruning: sealed blocks whose zones fail pred are skipped without
+// decoding (see BlockPredicate; nil scans everything). Rows from unpruned
+// blocks still appear even when they individually fail the predicate —
+// zones prune blocks, not rows. A scan under a traced ctx runs as a
+// "tsdb.scan_chunked" child span with its block decodes linked beneath;
+// an untraced scan (the threshold auditor's) mints no trace.
+func (s *Store) ScanChunksRange(ctx context.Context, from, to time.Time, workers int, pred BlockPredicate, f func(*envdb.Chunk) bool) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	defer func() {
-		span.SetAttr("rows", strconv.FormatInt(st.Records.Load(), 10))
-		span.SetAttr("blocks", strconv.FormatInt(st.BlocksDecoded.Load(), 10))
-		span.SetAttr("pruned", strconv.FormatInt(st.BlocksPruned.Load(), 10))
-	}()
+	if _, traced := obs.SpanContextFrom(ctx); traced {
+		var span *obs.ActiveSpan
+		ctx, span = obs.Span(ctx, "tsdb.scan_chunked")
+		defer span.End()
+		st := envdb.ScanStatsFrom(ctx)
+		if st == nil {
+			st = new(envdb.ScanStats)
+			ctx = envdb.ContextWithScanStats(ctx, st)
+		}
+		defer func() {
+			span.SetAttr("rows", strconv.FormatInt(st.Records.Load(), 10))
+			span.SetAttr("blocks", strconv.FormatInt(st.BlocksDecoded.Load(), 10))
+			span.SetAttr("pruned", strconv.FormatInt(st.BlocksPruned.Load(), 10))
+		}()
+	}
 	defer metQueryDur.With(opScanChunked).ObserveSince(time.Now())
-	streams := s.ScanShardsWhereCtx(ctx, time.Unix(0, minTime), time.Unix(0, maxTime), workers, pred)
-	cm := chunkMerger{streams: streams}
-	if len(streams) > 0 {
-		cm.pool = streams[0].pool
-		cm.chunk.Loc = streams[0].loc
-	}
+	cm := newChunkMerger(s.scanShards(ctx, from, to, workers, pred))
 	defer cm.close()
 	for cm.fill() {
 		if !f(&cm.chunk) {
@@ -90,19 +77,28 @@ func (s *Store) EachChunkMergedWhereCtx(ctx context.Context, workers int, pred B
 }
 
 // chunkMerger folds shard streams into columnar chunks one merge round at
-// a time. Unlike MergeIter it reads eagerly — a fill may decode past a
-// consumer's early stop by up to a chunk — in exchange for doing no
-// per-record heap work.
+// a time. It reads eagerly — a fill may decode past a consumer's early stop
+// by up to a chunk — in exchange for doing no per-record heap work.
 type chunkMerger struct {
 	pool    *scanPool
-	streams []*ShardStream // as returned by ScanShards, rack-index order
-	active  []*ShardStream // streams with a current run, rack-index order
+	streams []*shardStream // as returned by scanShards, rack-index order
+	active  []*shardStream // streams with a current run, rack-index order
 	chunk   envdb.Chunk
 	srcs    [][]float64 // aligned-stretch read cursors, reused across rounds
 	started bool
 	merged  uint64
 	err     error
 	closed  bool
+}
+
+// newChunkMerger starts the merge over one scanShards call's streams.
+func newChunkMerger(streams []*shardStream) *chunkMerger {
+	cm := &chunkMerger{streams: streams}
+	if len(streams) > 0 {
+		cm.pool = streams[0].pool
+		cm.chunk.Loc = streams[0].loc
+	}
+	return cm
 }
 
 // fill assembles the next chunk; false on exhaustion or error (a partial
@@ -114,8 +110,8 @@ func (cm *chunkMerger) fill() bool {
 	if !cm.started {
 		cm.started = true
 		// Admit every stream's first run; the waits overlap since all
-		// streams were armed at ScanShards time.
-		cm.active = make([]*ShardStream, 0, len(cm.streams))
+		// streams were armed at scanShards time.
+		cm.active = make([]*shardStream, 0, len(cm.streams))
 		for _, st := range cm.streams {
 			if st.advanceRun() {
 				cm.active = append(cm.active, st)
@@ -126,12 +122,7 @@ func (cm *chunkMerger) fill() bool {
 		}
 	}
 	c := &cm.chunk
-	c.Times = c.Times[:0]
-	c.Racks = c.Racks[:0]
-	c.Tiers = c.Tiers[:0]
-	for m := range c.Cols {
-		c.Cols[m] = c.Cols[m][:0]
-	}
+	c.Reset(c.Loc)
 	for len(cm.active) > 0 && len(c.Times) < chunkTargetRows {
 		if !cm.round() {
 			return false
@@ -385,7 +376,7 @@ func (cm *chunkMerger) growChunk(w int) {
 // stream across run boundaries while records keep arriving below the limit
 // (a seal during ingest can split equal timestamps across two runs). It
 // returns false when the stream is exhausted or failed.
-func (cm *chunkMerger) emit(st *ShardStream, limit int64) bool {
+func (cm *chunkMerger) emit(st *shardStream, limit int64) bool {
 	c := &cm.chunk
 	rackCode := st.rackCode
 	for {

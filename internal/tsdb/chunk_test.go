@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,55 +13,27 @@ import (
 	"mira/internal/topology"
 )
 
-// collectChunked materializes every row of a chunked merged scan through
-// Chunk.Record, so the result is comparable bit-for-bit against the
-// record-at-a-time surfaces.
-func collectChunked(t *testing.T, s *Store, workers int) []sensors.Record {
-	t.Helper()
-	var out []sensors.Record
-	if err := s.EachChunkMerged(workers, func(c *envdb.Chunk) bool {
-		for i := 0; i < c.Len(); i++ {
-			out = append(out, c.Record(i))
-		}
-		return true
-	}); err != nil {
-		t.Fatalf("EachChunkMerged(%d): %v", workers, err)
-	}
-	return out
-}
-
-// TestChunkedScanEquivalence is the chunked path's correctness anchor: the
-// batch-columnar scan must visit record sequences bit-identical to the
-// record-at-a-time merge — same instants, racks, tiers, and float bits —
-// at every worker count, and again after a warm reopen.
+// TestChunkedScanEquivalence: the chunk rows of a multi-partition store
+// must equal the oracle bit for bit — instants, racks, tiers, float bits —
+// before and after retention compaction folds the oldest partitions into
+// the cold tier.
 func TestChunkedScanEquivalence(t *testing.T) {
-	s := NewStoreWith(Options{Partition: 24 * time.Hour})
-	// All 48 racks, several sealed partitions plus a live head each, so
-	// every tick exercises the full 48-way tie interleave.
-	const n = 600
-	fill(t, n, topology.AllRacks(), s)
-
-	want := mergedReference(s)
-	if len(want) != n*topology.NumRacks {
-		t.Fatalf("reference has %d records, want %d", len(want), n*topology.NumRacks)
-	}
+	s := NewStoreWith(Options{Partition: 6 * time.Hour, Retention: 12 * time.Hour})
+	fill(t, 600, topology.AllRacks()[:12], s)
 	for _, workers := range []int{1, 3, 8, 0} {
-		sameRecords(t, fmt.Sprintf("chunked workers=%d", workers), collectChunked(t, s, workers), want)
+		sameRows(t, fmt.Sprintf("hot workers=%d", workers), collectChunked(t, s, workers), oracleAll(s))
 	}
-
-	dir := t.TempDir()
-	if err := s.Flush(dir); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if _, err := s.Compact(t.TempDir()); err != nil {
+		t.Fatalf("Compact: %v", err)
 	}
-	re, err := Open(dir, Options{Partition: 24 * time.Hour})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	want := oracleAll(s)
+	for _, workers := range []int{1, 3, 8, 0} {
+		sameRows(t, fmt.Sprintf("compacted workers=%d", workers), collectChunked(t, s, workers), want)
 	}
-	sameRecords(t, "chunked warm reopen", collectChunked(t, re, 2), want)
 }
 
-// TestChunkedScanTiers checks that chunk rows carry the storage tier and
-// stay identical to the tier-aware record scan over a compacted store.
+// TestChunkedScanTiers checks that chunk rows carry the storage tier of a
+// compacted store: downsampled windows first, then raw samples.
 func TestChunkedScanTiers(t *testing.T) {
 	s := NewStoreWith(Options{
 		Partition: 6 * time.Hour,
@@ -71,39 +44,19 @@ func TestChunkedScanTiers(t *testing.T) {
 	if _, err := s.Compact(t.TempDir()); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-
-	type tiered struct {
-		r    sensors.Record
-		tier envdb.Tier
-	}
-	var want []tiered
-	if err := s.EachRecordMergedTier(2, func(r sensors.Record, tier envdb.Tier) bool {
-		want = append(want, tiered{r, tier})
-		return true
-	}); err != nil {
-		t.Fatalf("EachRecordMergedTier: %v", err)
-	}
-	var got []tiered
-	if err := s.EachChunkMerged(2, func(c *envdb.Chunk) bool {
-		for i := 0; i < c.Len(); i++ {
-			got = append(got, tiered{c.Record(i), c.Tiers[i]})
+	got := collectChunked(t, s, 2)
+	sameRows(t, "tiers", got, oracleAll(s))
+	down := 0
+	for i, r := range got {
+		if r.tier == envdb.TierDownsampled {
+			if down != i {
+				t.Fatalf("row %d is downsampled after %d raw rows", i, i-down)
+			}
+			down++
 		}
-		return true
-	}); err != nil {
-		t.Fatalf("EachChunkMerged: %v", err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("chunked visited %d rows, want %d", len(got), len(want))
-	}
-	sawDown := false
-	for i := range want {
-		if got[i].tier != want[i].tier {
-			t.Fatalf("row %d tier = %v, want %v", i, got[i].tier, want[i].tier)
-		}
-		sawDown = sawDown || got[i].tier == envdb.TierDownsampled
-	}
-	if !sawDown {
-		t.Fatal("compacted store produced no downsampled rows — test store mis-built")
+	if down == 0 || down == len(got) {
+		t.Fatalf("compacted store produced %d downsampled rows of %d — test store mis-built", down, len(got))
 	}
 }
 
@@ -131,8 +84,7 @@ func TestChunkedScanEqualTimestampsAcrossSeal(t *testing.T) {
 		}
 		ts = ts.Add(timeutil.SampleInterval)
 	}
-	want := mergedReference(s)
-	sameRecords(t, "equal timestamps across seal", collectChunked(t, s, 2), want)
+	sameRows(t, "equal timestamps across seal", collectChunked(t, s, 2), oracleAll(s))
 }
 
 // TestChunkedScanEarlyStopAndEmpty: stopping after the first chunk must
@@ -142,7 +94,7 @@ func TestChunkedScanEarlyStopAndEmpty(t *testing.T) {
 	s := NewStoreWith(Options{Partition: 12 * time.Hour})
 	fill(t, 500, topology.AllRacks(), s)
 	chunks := 0
-	if err := s.EachChunkMerged(4, func(c *envdb.Chunk) bool {
+	if err := s.ScanChunks(context.Background(), 4, func(c *envdb.Chunk) bool {
 		if c.Len() == 0 {
 			t.Fatal("empty chunk delivered")
 		}
@@ -155,7 +107,7 @@ func TestChunkedScanEarlyStopAndEmpty(t *testing.T) {
 		t.Fatalf("visited %d chunks after stopping at the first, want 1", chunks)
 	}
 
-	if err := NewStore().EachChunkMerged(2, func(*envdb.Chunk) bool {
+	if err := NewStore().ScanChunks(context.Background(), 2, func(*envdb.Chunk) bool {
 		t.Fatal("no chunks expected from an empty store")
 		return false
 	}); err != nil {
@@ -172,9 +124,14 @@ func TestChunkedScanCorruption(t *testing.T) {
 	s.SealAll()
 	sh := &s.shards[rack.Index()]
 	sh.sealed[len(sh.sealed)-1].times = []byte{0xff, 0xff, 0xff}
-	if err := s.EachChunkMerged(2, func(*envdb.Chunk) bool { return true }); err == nil {
+	if err := s.ScanChunks(context.Background(), 2, func(*envdb.Chunk) bool { return true }); err == nil {
 		t.Fatal("chunked scan over corrupt block should error")
 	}
+}
+
+// scanWhere is a whole-store chunk scan on 2 workers pruned by pred.
+func scanWhere(s *Store, pred BlockPredicate, f func(*envdb.Chunk) bool) error {
+	return s.ScanChunksRange(context.Background(), time.Unix(0, minTime), time.Unix(0, maxTime), 2, pred, f)
 }
 
 // TestChunkedScanPruning: zone-map predicates skip sealed blocks without
@@ -187,7 +144,7 @@ func TestChunkedScanPruning(t *testing.T) {
 	fill(t, 500, []topology.RackID{rack}, s)
 	s.SealAll()
 
-	want := mergedReference(s)
+	want := oracleAll(s)
 	sh := &s.shards[rack.Index()]
 	if len(sh.sealed) < 2 {
 		t.Fatalf("need ≥2 sealed blocks, got %d", len(sh.sealed))
@@ -198,25 +155,25 @@ func TestChunkedScanPruning(t *testing.T) {
 		z := zones[sensors.MetricPower]
 		return !z.usable() || z.Max >= z.Min
 	}
-	var got []sensors.Record
-	if err := s.EachChunkMergedWhere(2, all, func(c *envdb.Chunk) bool {
+	var got []scanRow
+	if err := scanWhere(s, all, func(c *envdb.Chunk) bool {
 		for i := 0; i < c.Len(); i++ {
-			got = append(got, c.Record(i))
+			got = append(got, scanRow{c.Record(i), c.Tiers[i]})
 		}
 		return true
 	}); err != nil {
-		t.Fatalf("EachChunkMergedWhere(all): %v", err)
+		t.Fatalf("scan(all): %v", err)
 	}
-	sameRecords(t, "tautological predicate", got, want)
+	sameRows(t, "tautological predicate", got, want)
 
 	// An impossible predicate prunes every sealed block: zero rows.
 	none := func(*[sensors.NumMetrics]ZoneMap) bool { return false }
 	rows := 0
-	if err := s.EachChunkMergedWhere(2, none, func(c *envdb.Chunk) bool {
+	if err := scanWhere(s, none, func(c *envdb.Chunk) bool {
 		rows += c.Len()
 		return true
 	}); err != nil {
-		t.Fatalf("EachChunkMergedWhere(none): %v", err)
+		t.Fatalf("scan(none): %v", err)
 	}
 	if rows != 0 {
 		t.Fatalf("impossible predicate yielded %d rows, want 0", rows)
@@ -232,10 +189,10 @@ func TestChunkedScanPruning(t *testing.T) {
 		z := zones[sensors.MetricPower]
 		return !z.usable() || z.Min != badMin
 	}
-	if err := s.EachChunkMergedWhere(2, skipBad, func(*envdb.Chunk) bool { return true }); err != nil {
+	if err := scanWhere(s, skipBad, func(*envdb.Chunk) bool { return true }); err != nil {
 		t.Fatalf("scan pruning the corrupt block should stay clean: %v", err)
 	}
-	if err := s.EachChunkMergedWhere(2, all, func(*envdb.Chunk) bool { return true }); err == nil {
+	if err := scanWhere(s, all, func(*envdb.Chunk) bool { return true }); err == nil {
 		t.Fatal("scan admitting the corrupt block should error")
 	}
 }
@@ -255,16 +212,16 @@ func TestScanStopsAtRangeEnd(t *testing.T) {
 	// Range covering only the first ~2 partitions.
 	from := base
 	to := base.Add(20 * timeutil.SampleInterval)
-	streams := s.ScanShards(from, to, 1)
-	it := MergeByTime(streams)
+	streams := s.scanShards(context.Background(), from, to, 1, nil)
+	cm := newChunkMerger(streams)
 	got := 0
-	for it.Next() {
-		got++
+	for cm.fill() {
+		got += cm.chunk.Len()
 	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("merge: %v", err)
+	if cm.err != nil {
+		t.Fatalf("merge: %v", cm.err)
 	}
-	it.Close() // workers joined: stream state is safe to inspect
+	cm.close() // workers joined: stream state is safe to inspect
 
 	if got != 20 {
 		t.Fatalf("visited %d records, want 20", got)

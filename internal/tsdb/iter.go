@@ -112,22 +112,16 @@ func (it *Iter) nextBlock() bool {
 }
 
 func (it *Iter) fill() {
-	it.cur = recordAt(it.rack, it.loc, it.times[it.pos], &it.cols, it.pos)
-}
-
-// recordAt materializes one record from decoded columnar data; shared by
-// the per-rack Iter and the parallel merge iterator so both produce
-// bit-identical records from the same stored bytes.
-func recordAt(rack topology.RackID, loc *time.Location, tN int64, cols *[sensors.NumMetrics][]float64, i int) sensors.Record {
-	return sensors.Record{
-		Time:          time.Unix(0, tN).In(loc),
-		Rack:          rack,
-		DCTemperature: units.Fahrenheit(cols[sensors.MetricDCTemperature][i]),
-		DCHumidity:    units.RelativeHumidity(cols[sensors.MetricDCHumidity][i]),
-		Flow:          units.GPM(cols[sensors.MetricFlow][i]),
-		InletTemp:     units.Fahrenheit(cols[sensors.MetricInletTemp][i]),
-		OutletTemp:    units.Fahrenheit(cols[sensors.MetricOutletTemp][i]),
-		Power:         units.Watts(cols[sensors.MetricPower][i]),
+	i := it.pos
+	it.cur = sensors.Record{
+		Time:          time.Unix(0, it.times[i]).In(it.loc),
+		Rack:          it.rack,
+		DCTemperature: units.Fahrenheit(it.cols[sensors.MetricDCTemperature][i]),
+		DCHumidity:    units.RelativeHumidity(it.cols[sensors.MetricDCHumidity][i]),
+		Flow:          units.GPM(it.cols[sensors.MetricFlow][i]),
+		InletTemp:     units.Fahrenheit(it.cols[sensors.MetricInletTemp][i]),
+		OutletTemp:    units.Fahrenheit(it.cols[sensors.MetricOutletTemp][i]),
+		Power:         units.Watts(it.cols[sensors.MetricPower][i]),
 	}
 }
 
@@ -171,7 +165,7 @@ func (s *Store) Aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 	return s.aggregate(rack, m, from, to, window)
 }
 
-// AggregateCtx implements envdb.ContextAggregator: Aggregate as a child
+// AggregateCtx implements envdb.Aggregator: Aggregate as a child
 // span of ctx's trace. The plain Aggregate deliberately starts no span —
 // it runs on untraced hot paths (pushdown sweeps) where a root trace per
 // call would be noise.
@@ -352,7 +346,4 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 	return out, nil
 }
 
-var (
-	_ envdb.Aggregator        = (*Store)(nil)
-	_ envdb.ContextAggregator = (*Store)(nil)
-)
+var _ envdb.Aggregator = (*Store)(nil)

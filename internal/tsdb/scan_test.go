@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,68 +10,107 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
 )
 
-// mergedReference derives the expected merged order from the serial
-// rack-major EachRecord: stable-sort by (instant, rack index). Within one
-// rack EachRecord is already time-ordered, so the stable sort is exactly
-// the k-way merge's contract.
-func mergedReference(s *Store) []sensors.Record {
-	var out []sensors.Record
-	s.EachRecord(func(r sensors.Record) { out = append(out, r) })
+// scanRow is one materialized row of a chunk scan.
+type scanRow struct {
+	rec  sensors.Record
+	tier envdb.Tier
+}
+
+// oracleScan is the brute-force reference for the chunk scan: every fleet
+// rack's Query output over [from, to), stable-sorted by (instant, rack
+// code). Query is time-ordered within a rack, so the stable sort is
+// exactly the merge's contract. A row is TierDownsampled when it lies at or
+// before its shard's last cold window — the compaction boundary.
+func oracleScan(s *Store, from, to time.Time) []scanRow {
+	var out []scanRow
+	for i, rack := range s.Fleet().AllRacks() {
+		coldEnd := int64(math.MinInt64)
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		if n := len(sh.cold); n > 0 {
+			coldEnd = sh.cold[n-1].maxT
+		}
+		sh.mu.RUnlock()
+		for _, r := range s.Query(rack, from, to) {
+			tier := envdb.TierRaw
+			if r.Time.UnixNano() <= coldEnd {
+				tier = envdb.TierDownsampled
+			}
+			out = append(out, scanRow{r, tier})
+		}
+	}
 	sort.SliceStable(out, func(a, b int) bool {
-		ta, tb := out[a].Time.UnixNano(), out[b].Time.UnixNano()
+		ta, tb := out[a].rec.Time.UnixNano(), out[b].rec.Time.UnixNano()
 		if ta != tb {
 			return ta < tb
 		}
-		return out[a].Rack.Index() < out[b].Rack.Index()
+		return out[a].rec.Rack.Code() < out[b].rec.Rack.Code()
 	})
 	return out
 }
 
-func collectMerged(t *testing.T, s *Store, workers int) []sensors.Record {
+// oracleAll is oracleScan over the whole store.
+func oracleAll(s *Store) []scanRow {
+	return oracleScan(s, time.Unix(0, minTime), time.Unix(0, maxTime))
+}
+
+// collectRange materializes every row of a ranged chunk scan.
+func collectRange(t *testing.T, s *Store, from, to time.Time, workers int) []scanRow {
 	t.Helper()
-	var out []sensors.Record
-	if err := s.EachRecordMerged(workers, func(r sensors.Record) bool {
-		out = append(out, r)
+	var out []scanRow
+	if err := s.ScanChunksRange(context.Background(), from, to, workers, nil, func(c *envdb.Chunk) bool {
+		for i := 0; i < c.Len(); i++ {
+			out = append(out, scanRow{c.Record(i), c.Tiers[i]})
+		}
 		return true
 	}); err != nil {
-		t.Fatalf("EachRecordMerged(%d): %v", workers, err)
+		t.Fatalf("ScanChunksRange(workers=%d): %v", workers, err)
 	}
 	return out
 }
 
-// sameRecords requires bit-identical sequences: same instants (including
-// zone rendering, which the offline figures bucket by), same racks, same
-// float bits on every channel.
-func sameRecords(t *testing.T, label string, got, want []sensors.Record) {
+// collectChunked materializes every row of a whole-store chunk scan.
+func collectChunked(t *testing.T, s *Store, workers int) []scanRow {
+	t.Helper()
+	return collectRange(t, s, time.Unix(0, minTime), time.Unix(0, maxTime), workers)
+}
+
+// sameRows requires bit-identical sequences: same instants (including
+// zone rendering, which the offline figures bucket by), same racks and
+// tiers, same float bits on every channel.
+func sameRows(t *testing.T, label string, got, want []scanRow) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: visited %d records, want %d", label, len(got), len(want))
+		t.Fatalf("%s: visited %d rows, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		g, w := got[i], want[i]
+		g, w := got[i].rec, want[i].rec
 		if !g.Time.Equal(w.Time) || g.Rack != w.Rack {
-			t.Fatalf("%s: record %d = (%v, %v), want (%v, %v)", label, i, g.Time, g.Rack, w.Time, w.Rack)
+			t.Fatalf("%s: row %d = (%v, %v), want (%v, %v)", label, i, g.Time, g.Rack, w.Time, w.Rack)
 		}
 		if g.Time.Format(time.RFC3339) != w.Time.Format(time.RFC3339) {
-			t.Fatalf("%s: record %d zone rendering %q, want %q",
+			t.Fatalf("%s: row %d zone rendering %q, want %q",
 				label, i, g.Time.Format(time.RFC3339), w.Time.Format(time.RFC3339))
 		}
 		for _, m := range sensors.AllMetrics() {
 			if math.Float64bits(g.Value(m)) != math.Float64bits(w.Value(m)) {
-				t.Fatalf("%s: record %d %v = %v, want %v", label, i, m, g.Value(m), w.Value(m))
+				t.Fatalf("%s: row %d %v = %v, want %v", label, i, m, g.Value(m), w.Value(m))
 			}
+		}
+		if got[i].tier != want[i].tier {
+			t.Fatalf("%s: row %d tier = %v, want %v", label, i, got[i].tier, want[i].tier)
 		}
 	}
 }
 
-// TestMergedScanEquivalence is the tentpole's correctness anchor: the
-// serial rack-major scan, the parallel fan-out at several worker counts,
-// and a warm-reopened store must all visit identical record sequences.
+// TestMergedScanEquivalence: the chunk scan over a full machine must equal
+// the oracle at every worker count, and again after a warm reopen.
 func TestMergedScanEquivalence(t *testing.T) {
 	s := NewStoreWith(Options{Partition: 24 * time.Hour})
 	// All 48 racks, ~2 sealed partitions plus a live head each; every
@@ -78,15 +118,15 @@ func TestMergedScanEquivalence(t *testing.T) {
 	const n = 600
 	fill(t, n, topology.AllRacks(), s)
 
-	want := mergedReference(s)
+	want := oracleAll(s)
 	if len(want) != n*topology.NumRacks {
-		t.Fatalf("reference has %d records, want %d", len(want), n*topology.NumRacks)
+		t.Fatalf("oracle has %d rows, want %d", len(want), n*topology.NumRacks)
 	}
-	for _, workers := range []int{1, 3, 8, topology.NumRacks, 0} {
-		sameRecords(t, fmt.Sprintf("workers=%d", workers), collectMerged(t, s, workers), want)
+	for _, workers := range []int{1, 2, 3, 8, topology.NumRacks, 0} {
+		sameRows(t, fmt.Sprintf("workers=%d", workers), collectChunked(t, s, workers), want)
 	}
 
-	// Warm reopen: flush to segments, reopen, merge again.
+	// Warm reopen: flush to segments, reopen, scan again.
 	dir := t.TempDir()
 	if err := s.Flush(dir); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -95,72 +135,140 @@ func TestMergedScanEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	sameRecords(t, "warm reopen", collectMerged(t, re, 4), want)
+	sameRows(t, "warm reopen", collectChunked(t, re, 4), want)
 }
 
-// TestMergeByTimeRange checks the direct ScanShards+MergeByTime surface
-// over a sub-range against a filtered reference.
-func TestMergeByTimeRange(t *testing.T) {
-	s := NewStoreWith(Options{Partition: 24 * time.Hour})
-	racks := []topology.RackID{{Row: 0, Col: 0}, {Row: 1, Col: 8}, {Row: 2, Col: 15}}
-	fill(t, 700, racks, s)
-	from := base.Add(137 * timeutil.SampleInterval)
-	to := base.Add(512 * timeutil.SampleInterval)
+// TestScanChunksRangeOracle holds the ranged chunk scan to the oracle over
+// random ranges at 1/2/3/8 workers on the store shapes the merge must get
+// right: a seal mid-ingest that splits equal timestamps across two runs,
+// sparse racks on disjoint schedules, a compacted cold tier, and a 2-hall
+// fleet. An early stop must deliver exactly a prefix of the oracle.
+func TestScanChunksRangeOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	type namedStore struct {
+		name string
+		s    *Store
+	}
+	var stores []namedStore
 
-	var want []sensors.Record
-	for _, r := range mergedReference(s) {
-		if !r.Time.Before(from) && r.Time.Before(to) {
-			want = append(want, r)
+	// Equal timestamps across a seal: the ticks after the seal repeat the
+	// sealed block's last instant before moving on.
+	split := NewStoreWith(Options{Partition: 24 * time.Hour})
+	splitRacks := []topology.RackID{{Row: 0, Col: 1}, {Row: 0, Col: 2}, {Row: 2, Col: 9}}
+	ts := base
+	for i := 0; i < 900; i++ {
+		for _, rack := range splitRacks {
+			if err := split.Append(synthRecord(rng, rack, ts)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == 300 || i == 301 {
+			split.SealAll()
+			continue // repeat this instant after the seal
+		}
+		ts = ts.Add(timeutil.SampleInterval)
+	}
+	stores = append(stores, namedStore{"seal-split", split})
+
+	// Sparse racks: each rack reports on its own stride — the highest
+	// rack code every tick, lower codes less often — so a lone minimum
+	// must stop short of a lower-code rack's record at the next instant.
+	sparse := NewStoreWith(Options{Partition: 6 * time.Hour})
+	for i := 0; i < 1200; i++ {
+		for j, rack := range []topology.RackID{{Row: 0, Col: 0}, {Row: 1, Col: 4}, {Row: 2, Col: 15}} {
+			if i%(3-j) == 0 {
+				if err := sparse.Append(synthRecord(rng, rack, base.Add(time.Duration(i)*timeutil.SampleInterval))); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
+	stores = append(stores, namedStore{"sparse", sparse})
 
-	it := MergeByTime(s.ScanShards(from, to, 2))
-	defer it.Close()
-	var got []sensors.Record
-	for it.Next() {
-		got = append(got, it.Record())
+	cold := NewStoreWith(Options{Partition: 6 * time.Hour, Retention: 12 * time.Hour})
+	fill(t, 600, []topology.RackID{{Row: 0, Col: 0}, {Row: 1, Col: 9}, {Row: 2, Col: 3}}, cold)
+	if st, err := cold.Compact(t.TempDir()); err != nil || st.Windows == 0 {
+		t.Fatalf("Compact: %+v, %v", st, err)
 	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("merge: %v", err)
+	stores = append(stores, namedStore{"cold-tier", cold})
+
+	fleet := topology.Fleet{Halls: 2, Racks: 6}
+	twoHall := NewStoreWith(Options{Partition: 12 * time.Hour, Fleet: fleet})
+	fill(t, 500, fleet.AllRacks(), twoHall)
+	stores = append(stores, namedStore{"two-hall", twoHall})
+
+	for _, ns := range stores {
+		name, s := ns.name, ns.s
+		all := oracleAll(s)
+		if name == "cold-tier" && all[0].tier != envdb.TierDownsampled {
+			t.Fatal("cold-tier store has no downsampled rows")
+		}
+		first, last := all[0].rec.Time.UnixNano(), all[len(all)-1].rec.Time.UnixNano()
+		for trial := 0; trial < 6; trial++ {
+			a := first - int64(timeutil.SampleInterval) + rng.Int63n(last-first+2*int64(timeutil.SampleInterval))
+			b := first - int64(timeutil.SampleInterval) + rng.Int63n(last-first+2*int64(timeutil.SampleInterval))
+			if trial == 0 {
+				a, b = first, last+1
+			}
+			if a > b {
+				a, b = b, a
+			}
+			from, to := time.Unix(0, a), time.Unix(0, b)
+			want := oracleScan(s, from, to)
+			for _, workers := range []int{1, 2, 3, 8} {
+				label := fmt.Sprintf("%s trial %d workers=%d", name, trial, workers)
+				sameRows(t, label, collectRange(t, s, from, to, workers), want)
+			}
+		}
+
+		// Early stop after the first chunk: a clean return, and the rows
+		// seen are the oracle's prefix.
+		var got []scanRow
+		if err := s.ScanChunks(context.Background(), 2, func(c *envdb.Chunk) bool {
+			for i := 0; i < c.Len(); i++ {
+				got = append(got, scanRow{c.Record(i), c.Tiers[i]})
+			}
+			return false
+		}); err != nil {
+			t.Fatalf("%s early stop: %v", name, err)
+		}
+		if len(got) == 0 || len(got) > len(all) {
+			t.Fatalf("%s early stop delivered %d rows of %d", name, len(got), len(all))
+		}
+		sameRows(t, name+" early stop", got, all[:len(got)])
 	}
-	sameRecords(t, "sub-range merge", got, want)
 }
 
-// TestMergedScanEarlyStop exercises abandonment: stopping the visitor and
-// closing a half-consumed iterator must not deadlock or leak workers
+// TestMergedScanEarlyStop exercises abandonment: stopping the visitor
+// mid-scan must release the pool without deadlock or leaked workers
 // (goroutine leaks show up as -race hammer flakiness; deadlocks as test
-// timeouts).
+// timeouts), for whole-store and ranged scans alike.
 func TestMergedScanEarlyStop(t *testing.T) {
 	s := NewStoreWith(Options{Partition: 12 * time.Hour})
 	fill(t, 500, topology.AllRacks(), s)
 
-	seen := 0
-	if err := s.EachRecordMerged(4, func(sensors.Record) bool {
-		seen++
-		return seen < 100
-	}); err != nil {
-		t.Fatalf("early stop: %v", err)
+	for _, workers := range []int{1, 3, 0} {
+		chunks := 0
+		if err := s.ScanChunks(context.Background(), workers, func(*envdb.Chunk) bool {
+			chunks++
+			return chunks < 2
+		}); err != nil {
+			t.Fatalf("early stop: %v", err)
+		}
+		if chunks != 2 {
+			t.Fatalf("visited %d chunks, want 2", chunks)
+		}
 	}
-	if seen != 100 {
-		t.Fatalf("visited %d records, want 100", seen)
-	}
-
-	// Abandon a raw merge mid-flight; Close must be idempotent.
-	it := MergeByTime(s.ScanShards(time.Unix(0, minTime), time.Unix(0, maxTime), 3))
-	if !it.Next() {
-		t.Fatal("expected at least one record")
-	}
-	it.Close()
-	it.Close()
-	if it.Next() {
-		t.Fatal("Next after Close should report exhaustion")
+	mid := base.Add(250 * timeutil.SampleInterval)
+	if err := s.ScanChunksRange(context.Background(), base, mid, 3, nil, func(*envdb.Chunk) bool { return false }); err != nil {
+		t.Fatalf("ranged early stop: %v", err)
 	}
 }
 
 func TestMergedScanEmptyStore(t *testing.T) {
 	s := NewStore()
-	if err := s.EachRecordMerged(4, func(sensors.Record) bool {
-		t.Fatal("no records expected")
+	if err := s.ScanChunks(context.Background(), 4, func(*envdb.Chunk) bool {
+		t.Fatal("no chunks expected")
 		return false
 	}); err != nil {
 		t.Fatalf("empty scan: %v", err)
@@ -168,35 +276,29 @@ func TestMergedScanEmptyStore(t *testing.T) {
 }
 
 // TestMergedScanCorruption white-boxes a corrupt sealed payload into one
-// shard: the merged scan must surface it as an error (not a panic, unlike
+// shard: the chunk scan must surface it as an error (not a panic, unlike
 // the EachRecord surface), while a scan that stops before the corrupt
-// block stays clean thanks to demand-driven decoding.
+// block stays clean thanks to demand-driven decoding — the merge reads at
+// most a chunk plus one prefetched run past the consumer's stop.
 func TestMergedScanCorruption(t *testing.T) {
 	s := NewStoreWith(Options{Partition: 6 * time.Hour})
-	rack := topology.RackID{Row: 1, Col: 1}
-	fill(t, 500, []topology.RackID{rack}, s)
+	// Two tick-aligned racks, so merge rounds stay chunk-sized. 6000 ticks
+	// in 6-hour partitions: ~83 blocks per rack, and the first chunk (4096
+	// rows, ~28 blocks per rack) ends far before the last block.
+	racks := []topology.RackID{{Row: 1, Col: 1}, {Row: 1, Col: 2}}
+	fill(t, 6000, racks, s)
 	s.SealAll()
 
-	sh := &s.shards[rack.Index()]
-	if len(sh.sealed) < 3 {
-		t.Fatalf("need ≥3 sealed blocks, got %d", len(sh.sealed))
+	sh := &s.shards[racks[0].Index()]
+	if len(sh.sealed) < 80 {
+		t.Fatalf("need ≥80 sealed blocks, got %d", len(sh.sealed))
 	}
-	last := sh.sealed[len(sh.sealed)-1]
-	last.times = []byte{0xff, 0xff, 0xff}
+	sh.sealed[len(sh.sealed)-1].times = []byte{0xff, 0xff, 0xff}
 
-	// Early stop inside the first block: the corrupt tail is never
-	// requested past the prefetch horizon, and the prefetched result is
-	// simply discarded on Close.
-	seen := 0
-	if err := s.EachRecordMerged(2, func(sensors.Record) bool {
-		seen++
-		return seen < 10
-	}); err != nil {
+	if err := s.ScanChunks(context.Background(), 2, func(*envdb.Chunk) bool { return false }); err != nil {
 		t.Fatalf("early-stopped scan should not surface the corrupt tail: %v", err)
 	}
-
-	// A full scan must report it.
-	if err := s.EachRecordMerged(2, func(sensors.Record) bool { return true }); err == nil {
+	if err := s.ScanChunks(context.Background(), 2, func(*envdb.Chunk) bool { return true }); err == nil {
 		t.Fatal("full scan over corrupt block should error")
 	}
 }
@@ -219,7 +321,7 @@ func TestEachRecordUntilSurfacesCorruption(t *testing.T) {
 	s.EachRecordUntil(func(sensors.Record) bool { return false })
 }
 
-// TestMergedScanDuringIngest hammers merged scans against concurrent
+// TestMergedScanDuringIngest hammers chunk scans against concurrent
 // appends (run under -race by make check): scans run on snapshots, so
 // each must observe an internally consistent, time-ordered sequence.
 func TestMergedScanDuringIngest(t *testing.T) {
@@ -254,15 +356,16 @@ func TestMergedScanDuringIngest(t *testing.T) {
 		var prevT int64 = math.MinInt64
 		prevRack := -1
 		n := 0
-		if err := s.EachRecordMerged(3, func(r sensors.Record) bool {
-			k := r.Time.UnixNano()
-			if k < prevT || (k == prevT && r.Rack.Index() <= prevRack) {
-				t.Errorf("merge order violation at record %d: (%d,%d) after (%d,%d)",
-					n, k, r.Rack.Index(), prevT, prevRack)
-				return false
+		if err := s.ScanChunks(context.Background(), 3, func(c *envdb.Chunk) bool {
+			for i, k := range c.Times {
+				rack := int(c.Racks[i])
+				if k < prevT || (k == prevT && rack <= prevRack) {
+					t.Errorf("merge order violation at row %d: (%d,%d) after (%d,%d)", n, k, rack, prevT, prevRack)
+					return false
+				}
+				prevT, prevRack = k, rack
+				n++
 			}
-			prevT, prevRack = k, r.Rack.Index()
-			n++
 			return true
 		}); err != nil {
 			t.Fatalf("scan during ingest: %v", err)
@@ -270,7 +373,7 @@ func TestMergedScanDuringIngest(t *testing.T) {
 	}
 
 	// Steady state: the final scan sees everything.
-	if got := len(collectMerged(t, s, 4)); got != perRack*len(racks) {
-		t.Fatalf("final scan visited %d records, want %d", got, perRack*len(racks))
+	if got := len(collectChunked(t, s, 4)); got != perRack*len(racks) {
+		t.Fatalf("final scan visited %d rows, want %d", got, perRack*len(racks))
 	}
 }

@@ -280,12 +280,12 @@ func TestOpenVersion1Segment(t *testing.T) {
 			}
 		}
 	}
-	// The chunked merged scan must deliver every record even under a
+	// The chunk scan must deliver every record even under a
 	// predicate that matches nothing: version-1 blocks have no zones, so
 	// nothing may be pruned.
 	pruneAll := func(*[sensors.NumMetrics]ZoneMap) bool { return false }
 	rows := 0
-	err = v1.EachChunkMergedWhere(1, pruneAll, func(c *envdb.Chunk) bool {
+	err = scanWhere(v1, pruneAll, func(c *envdb.Chunk) bool {
 		rows += len(c.Times)
 		return true
 	})

@@ -637,8 +637,8 @@ func (bv blockView) channelArena(m sensors.Metric, dst []float64, scratch []int6
 // construction and disk-loaded blocks are checksum-verified at Open, so a
 // decode error here means in-process memory corruption or a codec bug —
 // not bad input. Callers that want errors instead of a panic (e.g.
-// streaming over untrusted segments) use Iter, Aggregate, or
-// EachRecordMerged and check the returned error.
+// streaming over untrusted segments) use Iter, Aggregate, or ScanChunks
+// and check the returned error.
 func mustDecode[T any](v T, err error) T {
 	mustOK(err)
 	return v

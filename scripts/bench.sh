@@ -12,20 +12,6 @@ trap 'rm -rf "$tmp"' EXIT
 
 go test -run '^$' -bench . -benchmem -count 1 ./internal/tsdb/ | tee "$tmp/bench.txt"
 
-# Chunked-vs-record contrast: the same full-trace merged replay through the
-# batch-columnar surface (BenchmarkEachRecord) and the record-at-a-time
-# surface (BenchmarkEachRecordParallel/workers=1), side by side. Both land
-# in the JSON snapshot; this line is the human-readable summary.
-awk '
-	$1 ~ /^BenchmarkEachRecord(-[0-9]+)?$/ { chunked = $3 }
-	$1 ~ /^BenchmarkEachRecordParallel\/workers=1(-[0-9]+)?$/ { record = $3 }
-	END {
-		if (chunked && record)
-			printf "bench: merged replay ns/op — chunked %s vs record-at-a-time %s (%.2fx)\n",
-				chunked, record, record / chunked
-	}
-' "$tmp/bench.txt"
-
 # Batched-vs-loop ingest contrast: one 85-tick frame per op, AppendTick
 # against the per-record Append loop a pre-batch server ran. The ratio is
 # the ingest acceptance the fleet work pins.
