@@ -68,6 +68,12 @@ const (
 	TierDownsampled
 )
 
+// ChunkRows is the fill target of one ScanChunks chunk, shared by every
+// implementation: small enough that a chunk's columns stay cache-resident
+// for the consumer, large enough to amortize the callback. A scanner whose
+// rows arrive in indivisible groups may overshoot it by one group.
+const ChunkRows = 4096
+
 // Chunk is one batch of a ScanChunks scan: parallel columns holding
 // consecutive rows of the global (timestamp, rack) order. Columnar
 // delivery amortizes the per-record callback and materialization cost —
@@ -107,14 +113,15 @@ func (c *Chunk) Reset(loc *time.Location) {
 	}
 }
 
-// appendRecord adds r as the chunk's last row; the caller keeps rows in
-// scan order and r's instant in Loc.
-func (c *Chunk) appendRecord(r sensors.Record, tier Tier) {
-	c.Times = append(c.Times, r.Time.UnixNano())
-	c.Racks = append(c.Racks, r.Rack.Code())
+// Append adds one row after the chunk's last: its instant tN in unix
+// nanoseconds, its packed rack code, its tier and its six channel values
+// in sensors.Metric order. The caller keeps rows in scan order.
+func (c *Chunk) Append(tN int64, code uint16, tier Tier, vals *[sensors.NumMetrics]float64) {
+	c.Times = append(c.Times, tN)
+	c.Racks = append(c.Racks, code)
 	c.Tiers = append(c.Tiers, tier)
-	for m := range c.Cols {
-		c.Cols[m] = append(c.Cols[m], r.Value(sensors.Metric(m)))
+	for m, v := range vals {
+		c.Cols[m] = append(c.Cols[m], v)
 	}
 }
 
@@ -329,9 +336,6 @@ func (s *Store) EachRecordUntil(f func(sensors.Record) bool) {
 	}
 }
 
-// storeChunkRows is the fill target of one Store.ScanChunks chunk.
-const storeChunkRows = 4096
-
 // ScanChunks implements DB: a serial k-way merge over the per-rack record
 // slices, yielding the whole store in global timestamp order with
 // rack-index tie-breaking and O(racks) state — no copy of the trace is ever
@@ -341,6 +345,7 @@ const storeChunkRows = 4096
 func (s *Store) ScanChunks(_ context.Context, _ int, f func(*Chunk) bool) error {
 	var pos [topology.NumRacks]int
 	var c Chunk
+	var vals [sensors.NumMetrics]float64
 	for {
 		best := -1
 		var bestT int64
@@ -360,13 +365,16 @@ func (s *Store) ScanChunks(_ context.Context, _ int, f func(*Chunk) bool) error 
 		}
 		r := s.records[best][pos[best]]
 		pos[best]++
-		if loc := r.Time.Location(); loc != c.Loc || c.Len() >= storeChunkRows {
+		if loc := r.Time.Location(); loc != c.Loc || c.Len() >= ChunkRows {
 			if c.Len() > 0 && !f(&c) {
 				return nil
 			}
 			c.Reset(loc)
 		}
-		c.appendRecord(r, TierRaw)
+		for m := range vals {
+			vals[m] = r.Value(sensors.Metric(m))
+		}
+		c.Append(bestT, r.Rack.Code(), TierRaw, &vals)
 	}
 }
 

@@ -488,25 +488,17 @@ func readChunkStream(r io.Reader, f func(rec sensors.Record, tier byte) bool) er
 	})
 }
 
-// wireChunkRows is the fill target of one decoded envdb.Chunk. A wire
-// chunk holds up to maxChunkRecords rows; delivering it in smaller pieces
-// keeps the client's decoded columns cache-sized.
-const wireChunkRows = 4096
-
 // readChunks is readRows into one reused envdb.Chunk: f sees up to
-// wireChunkRows rows at a time, Loc set to the stream's zone.
+// envdb.ChunkRows rows at a time (a wire chunk holds up to maxChunkRecords
+// rows; smaller pieces keep the decoded columns cache-sized), Loc set to
+// the stream's zone.
 func readChunks(r io.Reader, f func(*envdb.Chunk) bool) error {
 	var c envdb.Chunk
 	stopped := false
 	err := readRows(r, func(rack topology.RackID, tN int64, vals *[sensors.NumMetrics]float64, tier envdb.Tier, loc *time.Location) bool {
 		c.Loc = loc
-		c.Times = append(c.Times, tN)
-		c.Racks = append(c.Racks, rack.Code())
-		c.Tiers = append(c.Tiers, tier)
-		for m, v := range vals {
-			c.Cols[m] = append(c.Cols[m], v)
-		}
-		if c.Len() == wireChunkRows {
+		c.Append(tN, rack.Code(), tier, vals)
+		if c.Len() == envdb.ChunkRows {
 			stopped = !f(&c)
 			c.Reset(loc)
 		}

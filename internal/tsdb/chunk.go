@@ -5,7 +5,8 @@ package tsdb
 // at a time instead of one record per heap operation. Each round finds the
 // minimum timestamp t0 across the shard streams and the next distinct
 // timestamp after it; if one stream alone holds t0 it bulk-copies every
-// record below that boundary (a whole run on disjoint shards), and if
+// record below that boundary (a whole run on disjoint shards) up to the
+// chunk's fill target, and if
 // several streams tie at t0 — the common shape for tick-aligned telemetry —
 // each emits its t0 records in rack order. Either way the copy is a tight
 // per-run loop with no heap maintenance, which keeps the merged scan above
@@ -21,12 +22,6 @@ import (
 	"mira/internal/envdb"
 	"mira/internal/obs"
 )
-
-// chunkTargetRows is the fill target of one chunk: small enough that a
-// chunk's columns stay cache-resident for the consumer, large enough to
-// amortize the callback. Rounds are indivisible, so a chunk may overshoot
-// by up to one round.
-const chunkTargetRows = 4096
 
 // ScanChunks implements envdb.DB: the whole store in global (timestamp,
 // rack) order as reused columnar chunks. The scan runs against per-shard
@@ -123,7 +118,7 @@ func (cm *chunkMerger) fill() bool {
 	}
 	c := &cm.chunk
 	c.Reset(c.Loc)
-	for len(cm.active) > 0 && len(c.Times) < chunkTargetRows {
+	for len(cm.active) > 0 && len(c.Times) < envdb.ChunkRows {
 		if !cm.round() {
 			return false
 		}
@@ -178,18 +173,21 @@ func (cm *chunkMerger) round() bool {
 		return true
 	}
 	// A lone minimum owns every record below the second-distinct timestamp
-	// (its run, often); tied minima interleave by rack, so they each emit
-	// exactly their t0 records (nanosecond timestamps: t > t0 ⇒ t ≥ t0+1).
-	limit := second
+	// (its run, often — its whole trace when no other stream is active),
+	// so its copy stops at the chunk target: a later round still finds it
+	// the lone minimum, and memory stays one chunk plus one round. Tied
+	// minima interleave by rack, so they each emit exactly their t0 records
+	// (nanosecond timestamps: t > t0 ⇒ t ≥ t0+1).
+	limit, maxRows := second, envdb.ChunkRows
 	if tied > 1 {
-		limit = t0 + 1
+		limit, maxRows = t0+1, math.MaxInt
 	}
 	exhausted := false
 	for _, st := range cm.active {
 		if st.curTime() >= limit {
 			continue
 		}
-		if !cm.emit(st, limit) {
+		if !cm.emit(st, limit, maxRows) {
 			if st.err != nil {
 				cm.fail(st.err)
 				return false
@@ -222,7 +220,7 @@ func (cm *chunkMerger) roundsAligned() bool {
 	c := &cm.chunk
 	// Rounds to attempt: enough to fill the chunk to its target (rounds are
 	// indivisible, so the last may overshoot — same contract as fill).
-	k := (chunkTargetRows - len(c.Times) + nA - 1) / nA
+	k := (envdb.ChunkRows - len(c.Times) + nA - 1) / nA
 	// Every stream must keep one record resident after the stretch: the
 	// next round's minimum scan reads it, and stopping short of the run
 	// boundary sidesteps cross-run equal-timestamp continuation entirely.
@@ -372,17 +370,22 @@ func (cm *chunkMerger) growChunk(w int) {
 	}
 }
 
-// emit bulk-copies st's records below limit into the chunk, following the
-// stream across run boundaries while records keep arriving below the limit
-// (a seal during ingest can split equal timestamps across two runs). It
-// returns false when the stream is exhausted or failed.
-func (cm *chunkMerger) emit(st *shardStream, limit int64) bool {
+// emit bulk-copies st's records below limit into the chunk until the
+// chunk holds maxRows rows, following the stream across run boundaries
+// while records keep arriving below the limit (a seal during ingest can
+// split equal timestamps across two runs). It returns false when the
+// stream is exhausted or failed.
+func (cm *chunkMerger) emit(st *shardStream, limit int64, maxRows int) bool {
 	c := &cm.chunk
 	rackCode := st.rackCode
 	for {
 		run := &st.cur
 		i, hi, times := st.pos, run.hi, run.times
-		for i < hi && times[i] < limit {
+		end := hi
+		if room := maxRows - len(c.Times); room < end-i {
+			end = i + room
+		}
+		for i < end && times[i] < limit {
 			i++
 		}
 		if n := i - st.pos; n > 0 {

@@ -60,25 +60,42 @@ func oracleAll(s *Store) []scanRow {
 	return oracleScan(s, time.Unix(0, minTime), time.Unix(0, maxTime))
 }
 
-// collectRange materializes every row of a ranged chunk scan.
-func collectRange(t *testing.T, s *Store, from, to time.Time, workers int) []scanRow {
+// collectRange materializes every row of a ranged chunk scan and reports
+// the longest chunk it delivered.
+func collectRange(t *testing.T, s *Store, from, to time.Time, workers int) (out []scanRow, longest int) {
 	t.Helper()
-	var out []scanRow
 	if err := s.ScanChunksRange(context.Background(), from, to, workers, nil, func(c *envdb.Chunk) bool {
 		for i := 0; i < c.Len(); i++ {
 			out = append(out, scanRow{c.Record(i), c.Tiers[i]})
 		}
+		longest = max(longest, c.Len())
 		return true
 	}); err != nil {
 		t.Fatalf("ScanChunksRange(workers=%d): %v", workers, err)
 	}
-	return out
+	return out, longest
 }
 
 // collectChunked materializes every row of a whole-store chunk scan.
 func collectChunked(t *testing.T, s *Store, workers int) []scanRow {
 	t.Helper()
-	return collectRange(t, s, time.Unix(0, minTime), time.Unix(0, maxTime), workers)
+	out, _ := collectRange(t, s, time.Unix(0, minTime), time.Unix(0, maxTime), workers)
+	return out
+}
+
+// widestInstant is the most rows any one instant holds in rows — the
+// largest merge round, by which a chunk may overshoot envdb.ChunkRows.
+func widestInstant(rows []scanRow) int {
+	widest, run := 0, 0
+	for i := range rows {
+		if i > 0 && rows[i].rec.Time.Equal(rows[i-1].rec.Time) {
+			run++
+		} else {
+			run = 1
+		}
+		widest = max(widest, run)
+	}
+	return widest
 }
 
 // sameRows requires bit-identical sequences: same instants (including
@@ -141,8 +158,11 @@ func TestMergedScanEquivalence(t *testing.T) {
 // TestScanChunksRangeOracle holds the ranged chunk scan to the oracle over
 // random ranges at 1/2/3/8 workers on the store shapes the merge must get
 // right: a seal mid-ingest that splits equal timestamps across two runs,
-// sparse racks on disjoint schedules, a compacted cold tier, and a 2-hall
-// fleet. An early stop must deliver exactly a prefix of the oracle.
+// sparse racks on disjoint schedules, a compacted cold tier, a 2-hall
+// fleet, a lone rack, and a rack whose history runs past the others'. No
+// chunk may exceed envdb.ChunkRows by more than one merge round, however
+// long a stream leads alone. An early stop must deliver exactly a prefix
+// of the oracle.
 func TestScanChunksRangeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	type namedStore struct {
@@ -197,6 +217,19 @@ func TestScanChunksRangeOracle(t *testing.T) {
 	fill(t, 500, fleet.AllRacks(), twoHall)
 	stores = append(stores, namedStore{"two-hall", twoHall})
 
+	// A lone stream: every round's minimum is held alone, with no other
+	// stream to bound the copy.
+	lone := NewStoreWith(Options{Partition: 6 * time.Hour})
+	fill(t, 3*envdb.ChunkRows/2, []topology.RackID{{Row: 1, Col: 1}}, lone)
+	stores = append(stores, namedStore{"lone-rack", lone})
+
+	// A long tail: one rack's history runs far past two short ones', so the
+	// merge ends on a stream that leads alone for more than a chunk.
+	tail := NewStoreWith(Options{Partition: 6 * time.Hour})
+	fill(t, 300, []topology.RackID{{Row: 0, Col: 4}, {Row: 2, Col: 0}}, tail)
+	fill(t, 2*envdb.ChunkRows, []topology.RackID{{Row: 1, Col: 12}}, tail)
+	stores = append(stores, namedStore{"long-tail", tail})
+
 	for _, ns := range stores {
 		name, s := ns.name, ns.s
 		all := oracleAll(s)
@@ -217,7 +250,11 @@ func TestScanChunksRangeOracle(t *testing.T) {
 			want := oracleScan(s, from, to)
 			for _, workers := range []int{1, 2, 3, 8} {
 				label := fmt.Sprintf("%s trial %d workers=%d", name, trial, workers)
-				sameRows(t, label, collectRange(t, s, from, to, workers), want)
+				got, longest := collectRange(t, s, from, to, workers)
+				sameRows(t, label, got, want)
+				if bound := envdb.ChunkRows + widestInstant(want); longest > bound {
+					t.Fatalf("%s: a chunk held %d rows, want ≤ %d", label, longest, bound)
+				}
 			}
 		}
 
@@ -279,27 +316,37 @@ func TestMergedScanEmptyStore(t *testing.T) {
 // shard: the chunk scan must surface it as an error (not a panic, unlike
 // the EachRecord surface), while a scan that stops before the corrupt
 // block stays clean thanks to demand-driven decoding — the merge reads at
-// most a chunk plus one prefetched run past the consumer's stop.
+// most a chunk plus one prefetched run past the consumer's stop. The
+// consumer's first look comes after one chunk, so each store holds well
+// over a chunk before its last block: a single rack (every round a lone
+// minimum) and two tick-aligned racks (every round tied).
 func TestMergedScanCorruption(t *testing.T) {
-	s := NewStoreWith(Options{Partition: 6 * time.Hour})
-	// Two tick-aligned racks, so merge rounds stay chunk-sized. 6000 ticks
-	// in 6-hour partitions: ~83 blocks per rack, and the first chunk (4096
-	// rows, ~28 blocks per rack) ends far before the last block.
-	racks := []topology.RackID{{Row: 1, Col: 1}, {Row: 1, Col: 2}}
-	fill(t, 6000, racks, s)
-	s.SealAll()
+	for _, tc := range []struct {
+		name  string
+		racks []topology.RackID
+		ticks int
+	}{
+		{"one rack", []topology.RackID{{Row: 1, Col: 1}}, 6000},
+		{"two racks", []topology.RackID{{Row: 1, Col: 1}, {Row: 1, Col: 2}}, 6000},
+	} {
+		s := NewStoreWith(Options{Partition: 6 * time.Hour})
+		fill(t, tc.ticks, tc.racks, s)
+		s.SealAll()
 
-	sh := &s.shards[racks[0].Index()]
-	if len(sh.sealed) < 80 {
-		t.Fatalf("need ≥80 sealed blocks, got %d", len(sh.sealed))
-	}
-	sh.sealed[len(sh.sealed)-1].times = []byte{0xff, 0xff, 0xff}
+		// 6000 ticks in 6-hour partitions: ~83 blocks per rack; the first
+		// chunk ends ~57 blocks (one rack) or ~28 (two) into each.
+		sh := &s.shards[tc.racks[0].Index()]
+		if len(sh.sealed) < 80 {
+			t.Fatalf("%s: need ≥80 sealed blocks, got %d", tc.name, len(sh.sealed))
+		}
+		sh.sealed[len(sh.sealed)-1].times = []byte{0xff, 0xff, 0xff}
 
-	if err := s.ScanChunks(context.Background(), 2, func(*envdb.Chunk) bool { return false }); err != nil {
-		t.Fatalf("early-stopped scan should not surface the corrupt tail: %v", err)
-	}
-	if err := s.ScanChunks(context.Background(), 2, func(*envdb.Chunk) bool { return true }); err == nil {
-		t.Fatal("full scan over corrupt block should error")
+		if err := s.ScanChunks(context.Background(), 2, func(*envdb.Chunk) bool { return false }); err != nil {
+			t.Fatalf("%s: early-stopped scan should not surface the corrupt tail: %v", tc.name, err)
+		}
+		if err := s.ScanChunks(context.Background(), 2, func(*envdb.Chunk) bool { return true }); err == nil {
+			t.Fatalf("%s: full scan over corrupt block should error", tc.name)
+		}
 	}
 }
 
